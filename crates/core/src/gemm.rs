@@ -20,7 +20,7 @@ use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
 use kami_gpu_sim::{
-    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, SimError,
+    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, RunOptions, SimError,
 };
 
 /// Output of one block GEMM.
@@ -52,15 +52,6 @@ pub fn c_precision(input: Precision) -> Precision {
     input
 }
 
-/// Which interpreter backs a GEMM run: the split plan→cost→execute
-/// pipeline (default) or the legacy interleaved engine kept as the
-/// differential oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnginePath {
-    Split,
-    Legacy,
-}
-
 /// Build the algorithm kernel for one block GEMM (the single place the
 /// 1D/2D/3D dispatch lives).
 #[allow(clippy::too_many_arguments)]
@@ -81,28 +72,21 @@ pub(crate) fn build_gemm_kernel(
     }
 }
 
-/// Run a built kernel through the requested engine path. The split
-/// pipeline honors `cfg.backend`; the legacy oracle is always the
-/// interleaved interpreter (it predates the seam and exists to check
-/// every backend against).
+/// Run a built kernel on `cfg.backend`: the reference run on `Sim`,
+/// plan → cost → execute on every other backend.
 pub(crate) fn run_kernel(
     device: &DeviceSpec,
     cfg: &KamiConfig,
     kernel: &kami_gpu_sim::BlockKernel,
     gmem: &mut GlobalMemory,
-    path: EnginePath,
 ) -> Result<ExecutionReport, SimError> {
-    let engine = Engine::with_cost(device, cfg.cost.clone());
-    match path {
-        EnginePath::Legacy => engine.run(kernel, gmem),
-        EnginePath::Split => {
-            let planned = engine.plan(kernel)?;
-            let layout = gmem.layout();
-            let report = engine.cost(&planned, &layout)?;
-            engine.execute_with(cfg.backend, &planned, gmem)?;
-            Ok(report)
-        }
-    }
+    Engine::with_cost(device, cfg.cost.clone())
+        .run_kernel(
+            kernel,
+            gmem,
+            &RunOptions::default().with_backend(cfg.backend),
+        )
+        .map(|run| run.report)
 }
 
 /// Run one KAMI block GEMM: `C = A·B` with `A: m×k`, `B: k×n`.
@@ -125,36 +109,12 @@ pub fn gemm(
     .execute_single(device)
 }
 
-/// Engine body of [`gemm`] (shared by the request executor); runs the
-/// split plan→cost→execute pipeline.
+/// Engine body of [`gemm`] (shared by the request executor).
 pub(crate) fn exec_gemm(
     device: &DeviceSpec,
     cfg: &KamiConfig,
     a: &Matrix,
     b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_path(device, cfg, a, b, EnginePath::Split)
-}
-
-/// [`gemm`] driven by the legacy interleaved engine. Exists so the
-/// differential harness (`kami-verify`'s `ExecParity`) can hold the two
-/// interpreters together on real workloads; everything else goes
-/// through the split pipeline.
-pub fn gemm_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_path(device, cfg, a, b, EnginePath::Legacy)
-}
-
-fn exec_gemm_path(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    path: EnginePath,
 ) -> Result<GemmResult, KamiError> {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
@@ -173,7 +133,7 @@ fn exec_gemm_path(
     let cb = gmem.alloc_zeroed("C", m, n, c_prec);
 
     let kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
+    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
@@ -214,8 +174,7 @@ pub fn gemm_scaled(
     .execute_single(device)
 }
 
-/// Engine body of [`gemm_scaled`] (shared by the request executor);
-/// runs the split plan→cost→execute pipeline.
+/// Engine body of [`gemm_scaled`] (shared by the request executor).
 pub(crate) fn exec_gemm_scaled(
     device: &DeviceSpec,
     cfg: &KamiConfig,
@@ -224,34 +183,6 @@ pub(crate) fn exec_gemm_scaled(
     b: &Matrix,
     beta: f64,
     c0: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_scaled_path(device, cfg, alpha, a, b, beta, c0, EnginePath::Split)
-}
-
-/// [`gemm_scaled`] driven by the legacy interleaved engine (the
-/// `ExecParity` differential oracle, like [`gemm_legacy`]).
-pub fn gemm_scaled_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_scaled_path(device, cfg, alpha, a, b, beta, c0, EnginePath::Legacy)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_gemm_scaled_path(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-    path: EnginePath,
 ) -> Result<GemmResult, KamiError> {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
@@ -289,7 +220,7 @@ fn exec_gemm_scaled_path(
     let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
     apply_epilogue(&mut kernel, cb, alpha, beta, three_d, c_prec);
 
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
+    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
@@ -534,30 +465,6 @@ pub fn gemm_fused(
     .execute_single(device)
 }
 
-/// [`gemm_fused`] driven by the legacy interleaved engine (the
-/// `ExecParity` differential oracle, like [`gemm_legacy`]).
-pub fn gemm_fused_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_fused_path(device, cfg, a, b, epilogue, EnginePath::Legacy)
-}
-
-/// Engine body of [`gemm_fused`] (shared by the request executor);
-/// runs the split plan→cost→execute pipeline.
-pub(crate) fn exec_gemm_fused(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_fused_path(device, cfg, a, b, epilogue, EnginePath::Split)
-}
-
 /// The fused path under the §4.7 fallback ladder (the bias-row
 /// fragment can be the straw that overflows the register file).
 pub(crate) fn exec_gemm_fused_auto(
@@ -570,13 +477,13 @@ pub(crate) fn exec_gemm_fused_auto(
     run_fallback_ladder(cfg, |c| exec_gemm_fused(device, c, a, b, epilogue))
 }
 
-fn exec_gemm_fused_path(
+/// Engine body of [`gemm_fused`] (shared by the request executor).
+pub(crate) fn exec_gemm_fused(
     device: &DeviceSpec,
     cfg: &KamiConfig,
     a: &Matrix,
     b: &Matrix,
     epilogue: &Epilogue,
-    path: EnginePath,
 ) -> Result<GemmResult, KamiError> {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
@@ -602,7 +509,7 @@ fn exec_gemm_fused_path(
     let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
     fuse_epilogue_ops(&mut kernel, cb, bias_buf, epilogue, n, c_prec)?;
 
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
+    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,

@@ -1,9 +1,12 @@
-//! Phase-stepped block executor.
+//! The reference interpreter.
 //!
 //! Executes a [`BlockKernel`] with full functional semantics (values
 //! actually move between global memory, shared memory, and register
 //! fragments; tensor cores perform real quantized arithmetic) while
 //! tallying the resource use that [`crate::cost`] converts to cycles.
+//! `Engine::exec_phase` is the one per-phase step that defines op
+//! semantics; [`Engine::run`] is that step driven phase by phase after
+//! [`Engine::plan`], priced by [`phase_cost`].
 //!
 //! Legality checks mirror the CUDA programming model:
 //! * all warps must reach the same number of barriers,
@@ -19,10 +22,37 @@ use crate::fragment::FragValue;
 use crate::memory::global::GlobalMemory;
 use crate::memory::regfile::{self, LiveRange, RegisterUsage};
 use crate::memory::shared::SharedMemory;
+use crate::passes::PlannedKernel;
+use crate::precision::Precision;
 use crate::program::{BlockKernel, Op, UnaryFunc, WarpProgram};
 use crate::report::ExecutionReport;
 use crate::tensor_core::{mma_fragment, shape_for};
 use crate::trace::{Trace, TraceEvent, TraceKind};
+use std::collections::BTreeMap;
+
+/// One op's raw trace record: `(warp, kind, amount, detail)`, laid onto
+/// the simulated clock once its phase is priced.
+pub(crate) type RawEvent = (usize, TraceKind, u64, String);
+
+/// Machine state a block run carries across phases: shared memory and
+/// every warp's register fragments.
+pub(crate) struct BlockState {
+    pub(crate) smem: SharedMemory,
+    pub(crate) frags: Vec<Vec<FragValue>>,
+}
+
+impl BlockState {
+    pub(crate) fn new(device: &DeviceSpec, kernel: &BlockKernel) -> Self {
+        BlockState {
+            smem: SharedMemory::new(device.smem_capacity),
+            frags: kernel
+                .warps
+                .iter()
+                .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
+                .collect(),
+        }
+    }
+}
 
 /// Executes block kernels on one simulated SM of a device.
 pub struct Engine<'a> {
@@ -83,21 +113,24 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// Run the kernel to completion; returns the cycle/traffic report.
-    /// Global buffers in `gmem` are mutated by `GlobalStore` ops.
+    /// The reference run: execute the kernel to completion and return
+    /// its cycle/traffic report. Global buffers in `gmem` are mutated by
+    /// `GlobalStore` ops.
     ///
-    /// This is the legacy single-loop interpreter that interleaves cycle
-    /// accounting with functional numerics op by op. The split pipeline
-    /// ([`Self::plan`] → [`Self::cost`] → [`Self::execute`], or
-    /// [`Self::run_passes`] for the one-call form) produces bit-identical
-    /// results and reports; this path is kept as the differential oracle
-    /// (`kami-verify`'s `ExecParity` check holds the two together).
+    /// [`Self::plan`] validates the kernel; then every phase goes
+    /// through the reference step (`Self::exec_phase`), which moves
+    /// the values and tallies the resource use that [`phase_cost`]
+    /// prices. The cost pass ([`Self::cost`]) must reproduce this
+    /// report exactly without touching matrix data, and every
+    /// [`ExecBackend`](crate::passes::ExecBackend) must reproduce its
+    /// memory state bit for bit; `kami-verify`'s `ExecParity` holds
+    /// both to this run.
     pub fn run(
         &self,
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
     ) -> Result<ExecutionReport, SimError> {
-        self.run_inner(kernel, gmem, None)
+        self.run_planned(&self.plan(kernel)?, gmem, None)
     }
 
     /// Like [`Self::run`], additionally producing a per-op
@@ -108,152 +141,47 @@ impl<'a> Engine<'a> {
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
     ) -> Result<(ExecutionReport, Trace), SimError> {
-        let mut trace = Trace {
-            device: self.device.name.to_string(),
-            mode: Some(self.cost.mode),
-            ..Default::default()
-        };
-        let report = self.run_inner(kernel, gmem, Some(&mut trace))?;
+        let plan = self.plan(kernel)?;
+        let mut trace = self.empty_trace();
+        let report = self.run_planned(&plan, gmem, Some(&mut trace))?;
         Ok((report, trace))
     }
 
-    fn run_inner(
+    /// A trace with this engine's device and cost mode and no events.
+    pub(crate) fn empty_trace(&self) -> Trace {
+        Trace {
+            device: self.device.name.to_string(),
+            mode: Some(self.cost.mode),
+            ..Default::default()
+        }
+    }
+
+    /// The reference run of an already planned kernel.
+    pub(crate) fn run_planned(
         &self,
-        kernel: &BlockKernel,
+        plan: &PlannedKernel<'_>,
         gmem: &mut GlobalMemory,
         mut trace: Option<&mut Trace>,
     ) -> Result<ExecutionReport, SimError> {
-        let p = kernel.num_warps();
-        let max_warps = self.device.max_warps_per_block() as usize;
-        if p == 0 || p > max_warps {
-            return Err(SimError::BadWarpCount {
-                warps: p,
-                max: max_warps,
-            });
-        }
-
-        // Barrier alignment.
-        let expected_phases = kernel.warps[0].barrier_count() + 1;
-        for (i, w) in kernel.warps.iter().enumerate() {
-            let phases = w.barrier_count() + 1;
-            if phases != expected_phases {
-                return Err(SimError::BarrierMismatch {
-                    warp: i,
-                    phases,
-                    expected: expected_phases,
-                });
-            }
-        }
-
-        // Register budget.
-        let registers_per_warp = self.analyze_registers(kernel);
-        for (i, usage) in registers_per_warp.iter().enumerate() {
-            if usage.measured_regs > self.device.max_regs_per_thread {
-                return Err(SimError::RegisterOverflow {
-                    warp: i,
-                    needed: usage.measured_regs,
-                    limit: self.device.max_regs_per_thread,
-                });
-            }
-        }
-
-        // Runtime state.
-        let mut smem = SharedMemory::new(self.device.smem_capacity);
-        let mut frags: Vec<Vec<FragValue>> = kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
-        // Per-warp cursor into its op list.
-        let mut cursors = vec![0usize; p];
-
+        let mut state = BlockState::new(self.device, plan.kernel);
         let gmem_read0 = gmem.bytes_read();
         let gmem_written0 = gmem.bytes_written();
-
-        let mut phase_costs: Vec<PhaseCost> = Vec::with_capacity(expected_phases);
+        let mut phase_costs: Vec<PhaseCost> = Vec::with_capacity(plan.phases);
         let mut flops_charged = 0u64;
-
+        let mut raw_events: Vec<RawEvent> = Vec::new();
         let mut clock = 0.0f64;
         if let Some(t) = trace.as_deref_mut() {
             t.phase_starts.push(0.0);
         }
-        for phase in 0..expected_phases {
+        for phase in 0..plan.phases {
             let mut tally = PhaseTally::default();
-            // (warp, byte range) pairs for race detection.
-            let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-            // Raw per-op records for the trace: (warp, kind, amount, detail).
-            let mut raw_events: Vec<(usize, TraceKind, u64, String)> = Vec::new();
-
-            #[allow(clippy::needless_range_loop)] // warp id is semantic, not positional
-            for w in 0..p {
-                let prog = &kernel.warps[w];
-                let mut warp_flops: std::collections::BTreeMap<crate::precision::Precision, u64> =
-                    std::collections::BTreeMap::new();
-                loop {
-                    if cursors[w] >= prog.ops.len() {
-                        break;
-                    }
-                    let op = prog.ops[cursors[w]].clone();
-                    cursors[w] += 1;
-                    if matches!(op, Op::Barrier) {
-                        break;
-                    }
-                    let before = flops_charged;
-                    let before_tally = (
-                        tally.smem_bytes_written,
-                        tally.smem_bytes_read,
-                        tally.gmem_bytes,
-                    );
-                    let mma_prec = if let Op::Mma { a, .. } = op {
-                        prog.frags.get(a).map(|d| d.precision)
-                    } else {
-                        None
-                    };
-                    self.exec_op(
-                        w,
-                        prog,
-                        &op,
-                        gmem,
-                        &mut smem,
-                        &mut frags[w],
-                        &mut tally,
-                        &mut writes,
-                        &mut reads,
-                        &mut flops_charged,
-                    )?;
-                    if let Some(prec) = mma_prec {
-                        *warp_flops.entry(prec).or_insert(0) += flops_charged - before;
-                    }
-                    if trace.is_some() {
-                        let (kind, detail) = describe_op(prog, &op);
-                        let amount = match op {
-                            Op::Mma { .. } => flops_charged - before,
-                            Op::GlobalLoad { .. } | Op::GlobalStore { .. } => {
-                                tally.gmem_bytes - before_tally.2
-                            }
-                            _ => {
-                                (tally.smem_bytes_written - before_tally.0)
-                                    + (tally.smem_bytes_read - before_tally.1)
-                            }
-                        };
-                        raw_events.push((w, kind, amount, detail));
-                    }
-                }
-                for (prec, total) in warp_flops {
-                    tally.note_warp_flops(prec, total);
-                }
-            }
-
-            // Same-phase cross-warp race detection.
-            detect_races(&writes, &reads)?;
-
+            raw_events.clear();
+            let events = trace.is_some().then_some(&mut raw_events);
+            flops_charged += self.exec_phase(plan, phase, gmem, &mut state, &mut tally, events)?;
             let pc = phase_cost(self.device, &self.cost, &tally)?;
             if let Some(t) = trace.as_deref_mut() {
                 self.layout_phase_trace(t, phase, clock, &raw_events);
-            }
-            clock += pc.cycles(self.cost.mode);
-            if let Some(t) = trace.as_deref_mut() {
+                clock += pc.cycles(self.cost.mode);
                 t.phase_starts.push(clock);
             }
             phase_costs.push(pc);
@@ -267,25 +195,87 @@ impl<'a> Engine<'a> {
 
         Ok(ExecutionReport {
             device_name: self.device.name.to_string(),
-            warps: p,
+            warps: plan.warps,
             mode: self.cost.mode,
             phase_costs,
             totals,
             cycles,
             flops_charged,
-            smem_bytes_written: smem.bytes_written(),
-            smem_bytes_read: smem.bytes_read(),
-            smem_extent: smem.peak_extent(),
+            smem_bytes_written: state.smem.bytes_written(),
+            smem_bytes_read: state.smem.bytes_read(),
+            smem_extent: state.smem.peak_extent(),
             gmem_bytes_read: gmem.bytes_read() - gmem_read0,
             gmem_bytes_written: gmem.bytes_written() - gmem_written0,
-            registers_per_warp,
+            registers_per_warp: plan.registers_per_warp.clone(),
         })
     }
 
-    /// Execute one op of warp `w` with full functional semantics. Ops
-    /// that touch global memory are handled here; everything else
-    /// forwards to [`Self::exec_local_op`] (which the parallel executor
-    /// reuses against a warp-local shared-memory view).
+    /// The reference step: run phase `phase` of every warp, warps in
+    /// order and ops in program order, with full functional semantics,
+    /// then reject same-phase cross-warp shared-memory races. Tallies
+    /// the phase's resource use into `tally` and, when `events` is
+    /// given, one raw trace record per op. Returns the tensor-core
+    /// flops charged.
+    ///
+    /// This is the one loop that defines op semantics: the reference
+    /// run, [`SimBackend`](crate::passes::SimBackend) and the
+    /// [`NativeBackend`](crate::passes::NativeBackend) fallback all call
+    /// it.
+    pub(crate) fn exec_phase(
+        &self,
+        plan: &PlannedKernel<'_>,
+        phase: usize,
+        gmem: &mut GlobalMemory,
+        state: &mut BlockState,
+        tally: &mut PhaseTally,
+        mut events: Option<&mut Vec<RawEvent>>,
+    ) -> Result<u64, SimError> {
+        let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
+        let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
+        let mut phase_flops = 0u64;
+        for (w, warp_frags) in state.frags.iter_mut().enumerate() {
+            let prog = &plan.kernel.warps[w];
+            let mut warp_flops: BTreeMap<Precision, u64> = BTreeMap::new();
+            for op in plan.ops(w, phase) {
+                let smem0 = tally.smem_bytes_written + tally.smem_bytes_read;
+                let gmem0 = tally.gmem_bytes;
+                let flops = self.exec_op(
+                    w,
+                    prog,
+                    op,
+                    gmem,
+                    &mut state.smem,
+                    warp_frags,
+                    tally,
+                    &mut writes,
+                    &mut reads,
+                )?;
+                phase_flops += flops;
+                if let Op::Mma { a, .. } = *op {
+                    *warp_flops.entry(prog.frags[a].precision).or_insert(0) += flops;
+                }
+                if let Some(events) = events.as_deref_mut() {
+                    let (kind, detail) = describe_op(prog, op);
+                    let amount = match op {
+                        Op::Mma { .. } => flops,
+                        Op::GlobalLoad { .. } | Op::GlobalStore { .. } => tally.gmem_bytes - gmem0,
+                        _ => tally.smem_bytes_written + tally.smem_bytes_read - smem0,
+                    };
+                    events.push((w, kind, amount, detail));
+                }
+            }
+            for (prec, total) in warp_flops {
+                tally.note_warp_flops(prec, total);
+            }
+        }
+        detect_races(&writes, &reads)?;
+        Ok(phase_flops)
+    }
+
+    /// Execute one op of warp `w` with full functional semantics,
+    /// charging its traffic to `tally` and its shared-memory ranges to
+    /// `writes`/`reads`. Returns the tensor-core flops charged (zero for
+    /// everything but `Mma`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_op(
         &self,
@@ -298,8 +288,7 @@ impl<'a> Engine<'a> {
         tally: &mut PhaseTally,
         writes: &mut Vec<(usize, (usize, usize))>,
         reads: &mut Vec<(usize, (usize, usize))>,
-        flops_charged: &mut u64,
-    ) -> Result<(), SimError> {
+    ) -> Result<u64, SimError> {
         match *op {
             Op::GlobalLoad {
                 dst,
@@ -337,37 +326,6 @@ impl<'a> Engine<'a> {
                     tally.has_gmem_load = true;
                 }
             }
-            _ => self.exec_local_op(
-                w,
-                prog,
-                op,
-                smem,
-                warp_frags,
-                tally,
-                writes,
-                reads,
-                flops_charged,
-            )?,
-        }
-        Ok(())
-    }
-
-    /// Execute one op that touches no global memory: shared-memory
-    /// traffic, register movement, and tensor-core MMAs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_local_op(
-        &self,
-        w: usize,
-        prog: &WarpProgram,
-        op: &Op,
-        smem: &mut SharedMemory,
-        warp_frags: &mut [FragValue],
-        tally: &mut PhaseTally,
-        writes: &mut Vec<(usize, (usize, usize))>,
-        reads: &mut Vec<(usize, (usize, usize))>,
-        flops_charged: &mut u64,
-    ) -> Result<(), SimError> {
-        match *op {
             Op::SharedStore { src, addr } => {
                 require_init(warp_frags, src, w, prog)?;
                 let elem = warp_frags[src].decl.precision.size_bytes();
@@ -423,8 +381,7 @@ impl<'a> Engine<'a> {
                 require_init(warp_frags, a, w, prog)?;
                 require_init(warp_frags, b, w, prog)?;
                 require_init(warp_frags, d, w, prog)?;
-                let flops = self.exec_mma(prog, d, a, b, a_cols, b_rows, warp_frags, tally)?;
-                *flops_charged += flops;
+                return self.exec_mma(prog, d, a, b, a_cols, b_rows, warp_frags, tally);
             }
             Op::Scale { frag, factor } => {
                 require_init(warp_frags, frag, w, prog)?;
@@ -521,16 +478,13 @@ impl<'a> Engine<'a> {
                 tally.has_smem_load = true;
                 reads.push((w, (addr, bytes)));
             }
-            Op::GlobalLoad { .. } | Op::GlobalStore { .. } => {
-                unreachable!("global-memory ops are handled by exec_op")
-            }
             Op::Barrier => unreachable!("barriers are consumed by the phase loop"),
         }
-        Ok(())
+        Ok(0)
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_mma(
+    fn exec_mma(
         &self,
         prog: &WarpProgram,
         d: usize,
@@ -632,12 +586,11 @@ impl<'a> Engine<'a> {
         trace: &mut Trace,
         phase: usize,
         phase_start: f64,
-        raw: &[(usize, TraceKind, u64, String)],
+        raw: &[RawEvent],
     ) {
         let b_sm = self.device.smem_bytes_per_cycle();
-        let mut offsets: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        let mut first_load: std::collections::BTreeMap<usize, bool> =
-            std::collections::BTreeMap::new();
+        let mut offsets: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut first_load: BTreeMap<usize, bool> = BTreeMap::new();
         for (warp, kind, amount, detail) in raw {
             let off = offsets.entry(*warp).or_insert(0.0);
             let dur = match kind {
@@ -664,11 +617,8 @@ impl<'a> Engine<'a> {
                     // (per-precision rates differ by a constant factor).
                     let per_tc = self
                         .device
-                        .ops_per_cycle_per_tc(crate::precision::Precision::Fp16)
-                        .or_else(|| {
-                            self.device
-                                .ops_per_cycle_per_tc(crate::precision::Precision::Fp64)
-                        })
+                        .ops_per_cycle_per_tc(Precision::Fp16)
+                        .or_else(|| self.device.ops_per_cycle_per_tc(Precision::Fp64))
                         .unwrap_or(1.0);
                     *amount as f64 / per_tc
                 }
@@ -774,7 +724,7 @@ pub(crate) fn require_init(
     Ok(())
 }
 
-pub(crate) fn overlap(a: (usize, usize), b: (usize, usize)) -> bool {
+fn overlap(a: (usize, usize), b: (usize, usize)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
@@ -826,7 +776,6 @@ enum Access {
 /// Peak registers per thread under the lazy model (see
 /// [`Engine::analyze_registers_lazy`]).
 fn lazy_register_usage(prog: &WarpProgram, warp_size: u32, reg_width: u32) -> u32 {
-    use std::collections::BTreeMap;
     let mut events: Vec<Vec<(usize, Access)>> = vec![Vec::new(); prog.frags.len()];
     for (idx, op) in prog.ops.iter().enumerate() {
         match *op {
@@ -971,8 +920,6 @@ mod tests {
     use super::*;
     use crate::device::gh200;
     use crate::matrix::Matrix;
-    use crate::precision::Precision;
-    use crate::program::BlockKernel;
 
     fn tiny_gemm_kernel(
         gmem: &mut GlobalMemory,
@@ -1039,6 +986,16 @@ mod tests {
         assert!(matches!(
             Engine::new(&dev).run(&k, &mut gmem),
             Err(SimError::BarrierMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_block_rejected() {
+        let dev = gh200();
+        let k = BlockKernel::new(Vec::new());
+        assert!(matches!(
+            Engine::new(&dev).run(&k, &mut GlobalMemory::new()),
+            Err(SimError::BadWarpCount { warps: 0, .. })
         ));
     }
 

@@ -1,4 +1,4 @@
-//! The execution-backend seam of the three-pass pipeline.
+//! The execution-backend seam of the plan → cost → execute pipeline.
 //!
 //! The plan and cost passes are pure analysis: they validate a kernel
 //! and price its communication without touching matrix data. The
@@ -7,19 +7,20 @@
 //! against a [`PlannedKernel`]; everything above it (cycle accounting,
 //! plan caches, scheduling, serving) is backend-agnostic.
 //!
-//! Two backends ship:
+//! Two executors exist, and two backends ship:
 //!
 //! * [`SimBackend`](super::exec::SimBackend) — the reference
-//!   implementation: the rayon-parallel journaled interpreter with a
-//!   serial interleaved fallback and full race detection. Every other
-//!   backend is conformance-tested against it (and transitively against
-//!   [`Engine::run`](crate::engine::Engine::run), the legacy oracle).
-//! * [`NativeBackend`](super::native::NativeBackend) — host-speed
-//!   microkernels that replay each phase in the simulator's warp-settle
-//!   order, so accumulation order — and therefore bits — are identical.
-//!   Phases the static analysis cannot prove conflict-free fall back to
-//!   the serial simulator path, so races and faults surface with the
-//!   same errors.
+//!   interpreter: `Engine::exec_phase`, the one per-phase step that
+//!   defines op semantics, with race detection and lowest-warp error
+//!   order. [`Engine::run`](crate::engine::Engine::run) is the same step
+//!   with its tally priced, so Sim numerics and the reference run are
+//!   one code path.
+//! * [`NativeBackend`](super::native::NativeBackend) — the fast
+//!   executor: host-speed microkernels that replay each phase in the
+//!   same warp order, so accumulation order — and therefore bits — are
+//!   identical. Phases a static race analysis cannot clear go through
+//!   the reference step, so races and faults surface with the same
+//!   errors.
 //!
 //! The contract every backend must honor (what `ExecParity` checks):
 //! bit-identical global-buffer contents, identical global traffic
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// it. Defaults to [`BackendKind::Sim`], the reference interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum BackendKind {
-    /// Reference simulator: rayon journaled interpreter + race detector.
+    /// Reference interpreter with race detection.
     #[default]
     Sim,
     /// Host-speed per-precision microkernels, bit-identical to `Sim`.
@@ -101,20 +102,33 @@ impl std::fmt::Display for BackendKind {
 }
 
 /// What one execute-pass run did: which backend ran and how its phases
-/// split between the fast path and the serial fallback. Numerics are
-/// identical either way — this is observability, not semantics.
+/// split between the backend's fast path and the reference step.
+/// Numerics are identical either way — this is observability, not
+/// semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecOutcome {
     /// Backend that executed the kernel.
     pub backend: BackendKind,
     /// Total barrier-delimited phases executed.
     pub phases: usize,
-    /// Phases through the backend's fast path (rayon fan-out for `Sim`,
-    /// lean microkernel loop for `Native`).
+    /// Phases through the backend's fast path (the lean microkernel
+    /// loop for `Native`; `Sim` has none).
     pub fast_phases: usize,
-    /// Phases through the serial interleaved fallback (conflicting or
-    /// statically unsafe phases that need the race detector).
+    /// Phases through the reference step (every phase on `Sim`; on
+    /// `Native`, the phases that need the race detector).
     pub fallback_phases: usize,
+}
+
+impl ExecOutcome {
+    /// A `Sim` run: every phase through the reference step.
+    pub(crate) fn reference(phases: usize) -> Self {
+        ExecOutcome {
+            backend: BackendKind::Sim,
+            phases,
+            fast_phases: 0,
+            fallback_phases: phases,
+        }
+    }
 }
 
 /// One execution backend: the execute pass behind a fixed seam.

@@ -1,12 +1,12 @@
 //! Cost pass: cycle accounting with no matrix data.
 //!
-//! Walks the planned phase structure in exactly the order the legacy
-//! interleaved engine does — phases outermost, warps in order, ops in
+//! Walks the planned phase structure in exactly the order the reference
+//! run does — phases outermost, warps in order, ops in
 //! program order — charging the same tallies (banked shared-memory
 //! traffic with overlap invalidation, per-precision tensor-core flops
 //! with the busiest-warp term, global bytes from buffer metadata,
 //! register copies) through the same [`phase_cost`] bracketing of
-//! Formulas 1–12. Every legality check the functional engine performs on
+//! Formulas 1–12. Every legality check the reference step performs on
 //! the way (uninitialized fragments, shape mismatches, capacity
 //! overflows, same-phase races) is replayed on static structure, so the
 //! pass returns the identical [`SimError`] at the identical point, and
@@ -22,14 +22,14 @@
 
 use super::PlannedKernel;
 use crate::cost::{phase_cost, PhaseCost, PhaseTally};
-use crate::engine::{describe_op, detect_races, frag_decl, Engine};
+use crate::engine::{describe_op, detect_races, frag_decl, Engine, RawEvent};
 use crate::error::SimError;
 use crate::memory::global::GmemLayout;
 use crate::memory::shared::SharedMemory;
 use crate::program::{Op, WarpProgram};
 use crate::report::ExecutionReport;
 use crate::tensor_core::shape_for;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::Trace;
 
 /// Fragment-initialization flags of one warp — the cost pass's entire
 /// "register file".
@@ -72,16 +72,12 @@ impl<'a> Engine<'a> {
         plan: &PlannedKernel<'_>,
         layout: &GmemLayout,
     ) -> Result<(ExecutionReport, Trace), SimError> {
-        let mut trace = Trace {
-            device: self.device.name.to_string(),
-            mode: Some(self.cost.mode),
-            ..Default::default()
-        };
+        let mut trace = self.empty_trace();
         let report = self.cost_inner(plan, layout, Some(&mut trace))?;
         Ok((report, trace))
     }
 
-    fn cost_inner(
+    pub(crate) fn cost_inner(
         &self,
         plan: &PlannedKernel<'_>,
         layout: &GmemLayout,
@@ -111,7 +107,7 @@ impl<'a> Engine<'a> {
             let mut tally = PhaseTally::default();
             let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
             let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut raw_events: Vec<(usize, TraceKind, u64, String)> = Vec::new();
+            let mut raw_events: Vec<RawEvent> = Vec::new();
 
             #[allow(clippy::needless_range_loop)] // warp id is semantic, not positional
             for w in 0..p {
@@ -203,7 +199,7 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Charge one op — the shape-only twin of the functional engine's
+    /// Charge one op — the shape-only twin of the reference interpreter's
     /// `exec_op`, with the same checks in the same order.
     #[allow(clippy::too_many_arguments)]
     fn cost_op(

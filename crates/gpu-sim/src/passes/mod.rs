@@ -1,4 +1,5 @@
-//! The three-pass pipeline over a built [`BlockKernel`]:
+//! One reference interpreter and one fast executor over a built
+//! [`BlockKernel`], split into three passes:
 //!
 //! 1. **plan** ([`Engine::plan`]) — static validation (warp count,
 //!    barrier alignment, register budget) plus the per-warp per-phase op
@@ -6,19 +7,20 @@
 //! 2. **cost** ([`Engine::cost`] / [`Engine::cost_traced`], in
 //!    [`cost`]) — pure cycle accounting over the planned structure and a
 //!    [`GmemLayout`](crate::memory::global::GmemLayout): it reproduces
-//!    the legacy engine's [`ExecutionReport`] and [`Trace`] exactly,
+//!    the reference run's [`ExecutionReport`] and [`Trace`] exactly,
 //!    including every simulation fault, without touching matrix data.
 //! 3. **execute** ([`Engine::execute_with`], in [`backend`]) — numerics
-//!    only, behind the [`ExecBackend`] seam: the reference
-//!    [`SimBackend`] (rayon-parallel with a serial
-//!    interleaved fallback) or the host-speed
-//!    [`NativeBackend`], both bit-identical to
-//!    the legacy engine including accumulation order.
+//!    only, behind the [`ExecBackend`] seam: [`SimBackend`] is the
+//!    reference step with its tally discarded, [`NativeBackend`] the
+//!    host-speed executor, bit-identical to it including accumulation
+//!    order.
 //!
-//! [`Engine::run_kernel`] chains the three under a [`RunOptions`]
-//! (trace flag, cost override, backend); [`Engine::run`] remains the
-//! legacy interleaved loop the pipeline is differentially checked
-//! against.
+//! The reference run ([`Engine::run`]) is plan plus the reference step
+//! (`Engine::exec_phase`) with each phase's tally priced: one pass that
+//! executes and tallies. [`Engine::run_kernel`] takes it when the
+//! backend is [`BackendKind::Sim`]; other backends chain plan → cost →
+//! execute, and `kami-verify`'s `ExecParity` holds their report and
+//! bits to the reference run.
 
 pub mod backend;
 pub mod cost;
@@ -40,7 +42,7 @@ use crate::trace::Trace;
 
 /// A validated kernel plus the phase structure shared by the cost and
 /// execute passes. Producing one proves the kernel passes every static
-/// check the legacy engine front-loads (and in the same order).
+/// check of the reference run.
 #[derive(Debug, Clone)]
 pub struct PlannedKernel<'k> {
     pub kernel: &'k BlockKernel,
@@ -64,10 +66,10 @@ impl<'k> PlannedKernel<'k> {
 }
 
 impl<'a> Engine<'a> {
-    /// Plan pass: static validation and phase structure. Runs exactly
-    /// the checks the legacy engine front-loads, in the same order
-    /// (warp count, barrier alignment, register budget), so a kernel
-    /// rejected here fails [`Engine::run`] with the same error.
+    /// Plan pass: static validation and phase structure, in a fixed
+    /// order (warp count, barrier alignment, register budget). Every
+    /// run starts here, so a kernel rejected here fails [`Engine::run`]
+    /// with the same error.
     pub fn plan<'k>(&self, kernel: &'k BlockKernel) -> Result<PlannedKernel<'k>, SimError> {
         let p = kernel.num_warps();
         let max_warps = self.device.max_warps_per_block() as usize;
@@ -127,34 +129,32 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// The full pipeline in one call: plan → cost → execute, equivalent
-    /// to [`Engine::run`] (bit-identical numerics and report) with the
-    /// passes separable and the execute pass behind the selected
-    /// [`ExecBackend`].
+    /// The full pipeline in one call under `opts`. On
+    /// [`BackendKind::Sim`] this is the reference run — one pass that
+    /// executes and tallies; other backends run plan → cost → execute.
+    /// Report, trace and output bits are identical either way.
     pub fn run_kernel(
         &self,
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
         opts: &RunOptions,
     ) -> Result<RunArtifacts, SimError> {
-        let eng = match &opts.cost {
-            Some(cost) => Engine {
-                device: self.device,
-                cost: cost.clone(),
-            },
-            None => Engine {
-                device: self.device,
-                cost: self.cost.clone(),
-            },
+        let eng = Engine {
+            device: self.device,
+            cost: opts.cost.clone().unwrap_or_else(|| self.cost.clone()),
         };
         let plan = eng.plan(kernel)?;
+        let mut trace = opts.traced.then(|| eng.empty_trace());
+        if opts.backend == BackendKind::Sim {
+            let report = eng.run_planned(&plan, gmem, trace.as_mut())?;
+            return Ok(RunArtifacts {
+                report,
+                trace,
+                exec: ExecOutcome::reference(plan.phases),
+            });
+        }
         let layout = gmem.layout();
-        let (report, trace) = if opts.traced {
-            let (report, trace) = eng.cost_traced(&plan, &layout)?;
-            (report, Some(trace))
-        } else {
-            (eng.cost(&plan, &layout)?, None)
-        };
+        let report = eng.cost_inner(&plan, &layout, trace.as_mut())?;
         let exec = eng.execute_with(opts.backend, &plan, gmem)?;
         Ok(RunArtifacts {
             report,
@@ -162,37 +162,12 @@ impl<'a> Engine<'a> {
             exec,
         })
     }
-
-    /// Pre-`RunOptions` form of [`Self::run_kernel`]: default options,
-    /// report only.
-    #[doc(hidden)]
-    pub fn run_passes(
-        &self,
-        kernel: &BlockKernel,
-        gmem: &mut GlobalMemory,
-    ) -> Result<ExecutionReport, SimError> {
-        self.run_kernel(kernel, gmem, &RunOptions::default())
-            .map(|a| a.report)
-    }
-
-    /// Pre-`RunOptions` form of [`Self::run_kernel`] with tracing on.
-    #[doc(hidden)]
-    pub fn run_passes_traced(
-        &self,
-        kernel: &BlockKernel,
-        gmem: &mut GlobalMemory,
-    ) -> Result<(ExecutionReport, Trace), SimError> {
-        let arts = self.run_kernel(kernel, gmem, &RunOptions::default().traced())?;
-        let trace = arts.trace.expect("traced run always carries a trace");
-        Ok((arts.report, trace))
-    }
 }
 
-/// Options of one [`Engine::run_kernel`] call — the single entry point
-/// that superseded the `run_passes`/`run_passes_traced` pair.
+/// Options of one [`Engine::run_kernel`] call.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Produce the cost pass's [`Trace`] alongside the report.
+    /// Produce the run's [`Trace`] alongside the report.
     pub traced: bool,
     /// Override the engine's [`CostConfig`] for this run (`None` keeps
     /// the engine's own).
@@ -224,9 +199,9 @@ impl RunOptions {
 /// What one [`Engine::run_kernel`] call produced.
 #[derive(Debug, Clone)]
 pub struct RunArtifacts {
-    /// The cost pass's cycle/traffic/register report.
+    /// The run's cycle/traffic/register report.
     pub report: ExecutionReport,
-    /// The cost pass's timeline, when [`RunOptions::traced`] was set.
+    /// The run's timeline, when [`RunOptions::traced`] was set.
     pub trace: Option<Trace>,
     /// Which backend executed and how its phases split.
     pub exec: ExecOutcome,
@@ -265,36 +240,5 @@ mod tests {
             .iter()
             .chain(plan.ops(1, 1))
             .any(|o| matches!(o, Op::Barrier)));
-    }
-
-    #[test]
-    fn plan_rejects_what_the_legacy_engine_rejects() {
-        let dev = gh200();
-        let eng = Engine::new(&dev);
-        // Barrier mismatch.
-        let k = BlockKernel::spmd(2, |i, w| {
-            let f = w.frag("x", 1, 1, Precision::Fp32);
-            w.zero_acc(f);
-            if i == 0 {
-                w.barrier();
-            }
-        });
-        let planned = eng.plan(&k).map(|_| ());
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        assert_eq!(planned, legacy);
-        // Register overflow.
-        let k = BlockKernel::spmd(1, |_, w| {
-            let f = w.frag("huge", 256, 128, Precision::Fp64);
-            w.zero_acc(f);
-        });
-        let planned = eng.plan(&k).map(|_| ());
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        assert_eq!(planned, legacy);
-        // Empty block.
-        let k = BlockKernel::new(Vec::new());
-        assert_eq!(
-            eng.plan(&k).map(|_| ()),
-            eng.run(&k, &mut GlobalMemory::new()).map(|_| ())
-        );
     }
 }

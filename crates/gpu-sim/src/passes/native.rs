@@ -1,27 +1,26 @@
-//! Native execution backend: host-speed microkernels behind the
-//! [`ExecBackend`] seam.
+//! Native execution backend: the fast executor, host-speed
+//! microkernels behind the [`ExecBackend`] seam.
 //!
-//! The simulator's MMA interpreter pays, per accumulation step, two
+//! The reference interpreter's MMA pays, per accumulation step, two
 //! precision round-trips on the inputs (for fp16/bf16 that is a
-//! `f64 → half → f64` conversion each) plus per-op slice allocations,
-//! journaling, and rayon fan-out. None of that changes the bits:
-//! fragment data is invariantly quantized at its declared precision
-//! (every write narrows — see [`FragValue::store`]), and every
-//! [`Precision::round`] is idempotent, so re-rounding already-quantized
-//! inputs is a no-op. The native backend exploits exactly that: its
-//! microkernels read inputs as-is and keep only the roundings that
-//! matter — one per accumulation step at the accumulator precision
-//! (`f64::mul_add` product, then `as f32 as f64` for FP32 accumulators,
-//! identity for FP64), and one per element at the fragment's storage
-//! precision after each MMA — the same places the simulator rounds.
+//! `f64 → half → f64` conversion each) plus per-op slice allocations.
+//! None of that changes the bits: fragment data is invariantly
+//! quantized at its declared precision (every write narrows — see
+//! [`FragValue::store`]), and every [`Precision::round`] is idempotent,
+//! so re-rounding already-quantized inputs is a no-op. The native
+//! backend exploits exactly that: its microkernels read inputs as-is
+//! and keep only the roundings that matter — one per accumulation step
+//! at the accumulator precision (`f64::mul_add` product, then
+//! `as f32 as f64` for FP32 accumulators, identity for FP64), and one
+//! per element at the fragment's storage precision after each MMA — the
+//! same places the simulator rounds.
 //!
-//! Phase order is the simulator's warp-settle order: warps serially in
-//! warp order, ops in program order. The legacy engine runs warps
-//! *serially within each phase* too, so this order is identical to both
-//! the interleaved oracle and the journaled parallel path. Phases the
-//! static analysis (`Engine::phase_is_parallel_safe`) cannot prove
-//! conflict-free fall back to the serial simulator loop, so races,
-//! faults, panics, and error ordering reproduce exactly.
+//! Phase order is the reference step's: warps serially in warp order,
+//! ops in program order, so accumulation order is identical. The lean
+//! loop skips only the race bookkeeping, and only on phases a static
+//! analysis proves race-free; every other phase goes through the
+//! reference step itself, so races, faults, panics, and error ordering
+//! reproduce exactly.
 //!
 //! The inner loops are written to autovectorize: for each `(i, l)` the
 //! column sweep is a chain-free FMA over independent accumulators,
@@ -31,11 +30,10 @@
 use super::backend::{BackendKind, ExecBackend, ExecOutcome};
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
-use crate::engine::{frag_decl, require_init, Engine};
+use crate::engine::{detect_races, frag_decl, require_init, BlockState, Engine};
 use crate::error::SimError;
 use crate::fragment::FragValue;
 use crate::memory::global::GlobalMemory;
-use crate::memory::shared::SharedMemory;
 use crate::precision::Precision;
 use crate::program::{Op, WarpProgram};
 use crate::tensor_core::shape_for;
@@ -56,24 +54,15 @@ impl ExecBackend for NativeBackend {
         plan: &PlannedKernel<'_>,
         gmem: &mut GlobalMemory,
     ) -> Result<ExecOutcome, SimError> {
-        let mut smem = SharedMemory::new(engine.device.smem_capacity);
-        let mut frags: Vec<Vec<FragValue>> = plan
-            .kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
-
+        let mut state = BlockState::new(engine.device, plan.kernel);
         let mut fast_phases = 0usize;
         for phase in 0..plan.phases {
-            // The same analysis that gates the sim's parallel path gates
-            // the lean loop here (without the p > 1 restriction: a
-            // single-warp safe phase needs no race bookkeeping either).
-            if engine.phase_is_parallel_safe(plan, phase, gmem) {
-                run_phase_native(engine, plan, phase, gmem, &mut smem, &mut frags)?;
+            if phase_is_race_free(plan, phase) {
+                run_phase_native(engine, plan, phase, gmem, &mut state)?;
                 fast_phases += 1;
             } else {
-                engine.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
+                let mut tally = PhaseTally::default();
+                engine.exec_phase(plan, phase, gmem, &mut state, &mut tally, None)?;
             }
         }
         Ok(ExecOutcome {
@@ -85,25 +74,54 @@ impl ExecBackend for NativeBackend {
     }
 }
 
-/// One statically race-free phase in warp-settle order. MMAs go through
-/// the native microkernels; every other op runs the simulator's own
-/// handler, so checks, error messages, and traffic counters are shared
-/// code, not reimplementations. Race vectors stay unused — the static
-/// analysis already proved this phase free of the hazards
-/// [`detect_races`](crate::engine::detect_races) would flag.
+/// Static race analysis of one phase: `true` when the phase's
+/// shared-memory ranges pass the same [`detect_races`] check the
+/// reference step applies at run time. Op addresses and fragment sizes
+/// are static, so the verdict equals the runtime one; a fragment id out
+/// of range leaves the range unknown and sends the phase to the
+/// reference step.
+fn phase_is_race_free(plan: &PlannedKernel<'_>, phase: usize) -> bool {
+    let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
+    let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
+    for w in 0..plan.warps {
+        let frags = &plan.kernel.warps[w].frags;
+        let bytes = |id: usize| frags.get(id).map(|d| d.elems() * d.precision.size_bytes());
+        for op in plan.ops(w, phase) {
+            match *op {
+                Op::SharedStore { src, addr } => match bytes(src) {
+                    Some(n) => writes.push((w, (addr, n))),
+                    None => return false,
+                },
+                Op::SharedLoad { dst, addr } => match bytes(dst) {
+                    Some(n) => reads.push((w, (addr, n))),
+                    None => return false,
+                },
+                Op::MetaStore { addr, bytes } => writes.push((w, (addr, bytes))),
+                Op::MetaLoad { addr, bytes } => reads.push((w, (addr, bytes))),
+                _ => {}
+            }
+        }
+    }
+    detect_races(&writes, &reads).is_ok()
+}
+
+/// One statically race-free phase in warp order. MMAs go through the
+/// native microkernels; every other op runs the reference interpreter's
+/// own handler, so checks, error messages, and traffic counters are
+/// shared code, not reimplementations. Race vectors stay unused — the
+/// static analysis already proved this phase free of the hazards
+/// [`detect_races`] would flag.
 fn run_phase_native(
     engine: &Engine<'_>,
     plan: &PlannedKernel<'_>,
     phase: usize,
     gmem: &mut GlobalMemory,
-    smem: &mut SharedMemory,
-    frags: &mut [Vec<FragValue>],
+    state: &mut BlockState,
 ) -> Result<(), SimError> {
     let mut tally = PhaseTally::default();
     let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
     let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-    let mut flops_scratch = 0u64;
-    for (w, warp_frags) in frags.iter_mut().enumerate() {
+    for (w, warp_frags) in state.frags.iter_mut().enumerate() {
         let prog = &plan.kernel.warps[w];
         for op in plan.ops(w, phase) {
             match *op {
@@ -119,26 +137,27 @@ fn run_phase_native(
                     require_init(warp_frags, d, w, prog)?;
                     native_mma(engine, prog, d, a, b, a_cols, b_rows, warp_frags)?;
                 }
-                _ => engine.exec_op(
-                    w,
-                    prog,
-                    op,
-                    gmem,
-                    smem,
-                    warp_frags,
-                    &mut tally,
-                    &mut writes,
-                    &mut reads,
-                    &mut flops_scratch,
-                )?,
+                _ => {
+                    engine.exec_op(
+                        w,
+                        prog,
+                        op,
+                        gmem,
+                        &mut state.smem,
+                        warp_frags,
+                        &mut tally,
+                        &mut writes,
+                        &mut reads,
+                    )?;
+                }
             }
         }
     }
     Ok(())
 }
 
-/// Native fragment MMA: the same legality checks as
-/// [`Engine::exec_mma`], in the same order and with the same messages,
+/// Native fragment MMA: the same legality checks as the reference
+/// interpreter's `exec_mma`, in the same order and with the same messages,
 /// then a strided zero-copy microkernel instead of slice extraction and
 /// per-step input re-rounding.
 #[allow(clippy::too_many_arguments)]
@@ -367,40 +386,60 @@ mod tests {
         }
     }
 
-    fn both_backends(
+    /// Run `k` through the reference run and through plan → cost →
+    /// execute on every backend. Reports and traces must serialize
+    /// identically, global memory (values and traffic counters) must
+    /// match bit for bit, and a failing kernel must fail with the same
+    /// `Debug` error everywhere. Returns `[sim, native]` outcomes.
+    fn assert_matches_reference(
         k: &BlockKernel,
         build: impl Fn(&mut GlobalMemory),
-    ) -> (
-        Result<ExecOutcome, SimError>,
-        Result<ExecOutcome, SimError>,
-        GlobalMemory,
-        GlobalMemory,
-    ) {
+    ) -> [Result<ExecOutcome, SimError>; 2] {
         let dev = gh200();
         let eng = Engine::new(&dev);
-        let mut g_sim = GlobalMemory::new();
-        let mut g_nat = GlobalMemory::new();
-        build(&mut g_sim);
-        build(&mut g_nat);
-        let sim = eng
-            .plan(k)
-            .and_then(|p| eng.execute_with(BackendKind::Sim, &p, &mut g_sim));
-        let nat = eng
-            .plan(k)
-            .and_then(|p| eng.execute_with(BackendKind::Native, &p, &mut g_nat));
-        (sim, nat, g_sim, g_nat)
+        let mut g_ref = GlobalMemory::new();
+        build(&mut g_ref);
+        let reference = eng.run_traced(k, &mut g_ref).map(|(report, trace)| {
+            (
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(&trace).unwrap(),
+            )
+        });
+        BackendKind::ALL.map(|backend| {
+            let mut g = GlobalMemory::new();
+            build(&mut g);
+            let split = eng.plan(k).and_then(|plan| {
+                let (report, trace) = eng.cost_traced(&plan, &g.layout())?;
+                let outcome = eng.execute_with(backend, &plan, &mut g)?;
+                Ok((
+                    serde_json::to_string(&report).unwrap(),
+                    serde_json::to_string(&trace).unwrap(),
+                    outcome,
+                ))
+            });
+            match (&reference, &split) {
+                (Ok((report, trace)), Ok((s_report, s_trace, _))) => {
+                    assert_eq!(report, s_report, "{backend}: report diverges");
+                    assert_eq!(trace, s_trace, "{backend}: trace diverges");
+                    assert_state_identical(&g_ref, &g);
+                }
+                (Err(e), Err(s_e)) => assert_eq!(format!("{e:?}"), format!("{s_e:?}")),
+                _ => panic!("{backend}: reference {reference:?} vs split {split:?}"),
+            }
+            split.map(|(_, _, outcome)| outcome)
+        })
     }
 
-    fn assert_state_identical(g_sim: &GlobalMemory, g_nat: &GlobalMemory) {
-        assert_eq!(g_sim.bytes_read(), g_nat.bytes_read());
-        assert_eq!(g_sim.bytes_written(), g_nat.bytes_written());
-        for i in 0..g_sim.buffer_count() {
+    fn assert_state_identical(g_ref: &GlobalMemory, g: &GlobalMemory) {
+        assert_eq!(g_ref.bytes_read(), g.bytes_read());
+        assert_eq!(g_ref.bytes_written(), g.bytes_written());
+        for i in 0..g_ref.buffer_count() {
             let id = BufferId(i);
             assert_eq!(
-                g_sim.download(id).max_abs_diff(&g_nat.download(id)),
+                g_ref.download(id).max_abs_diff(&g.download(id)),
                 0.0,
                 "buffer '{}' diverges",
-                g_sim.name(id)
+                g_ref.name(id)
             );
         }
     }
@@ -415,6 +454,8 @@ mod tests {
             Precision::Bf16,
             Precision::Fp8E4M3,
         ] {
+            // All four warps load the same A/B windows; disjoint smem
+            // staging; warp 0 alone stores C.
             let n = 16;
             let k = BlockKernel::spmd(4, |i, w| {
                 let fa = w.frag("A", n, n, prec);
@@ -431,26 +472,24 @@ mod tests {
                     w.global_store(fc, BufferId(2), 0, 0);
                 }
             });
-            let (sim, nat, g_sim, g_nat) = both_backends(&k, |g| {
+            let [sim, nat] = assert_matches_reference(&k, |g| {
                 g.upload("A", &Matrix::seeded_uniform(n, n, 1), prec);
                 g.upload("B", &Matrix::seeded_uniform(n, n, 2), prec);
                 g.alloc_zeroed("C", n, n, prec);
             });
-            let sim = sim.unwrap();
+            assert_eq!(sim.unwrap().backend, BackendKind::Sim);
             let nat = nat.unwrap();
-            assert_eq!(sim.backend, BackendKind::Sim);
             assert_eq!(nat.backend, BackendKind::Native);
             assert_eq!(nat.fallback_phases, 0, "{prec:?}: safe phases fell back");
-            assert_state_identical(&g_sim, &g_nat);
         }
     }
 
     #[test]
-    fn native_matches_sim_on_sliced_mma() {
+    fn native_matches_sim_on_edge_kernels() {
         // k-sliced MMA with a strided A window exercises the zero-copy
         // stride math against the simulator's slice extraction.
         let (m, n, kk) = (8, 8, 32);
-        let k = BlockKernel::spmd(1, |_, w| {
+        let sliced = BlockKernel::spmd(1, |_, w| {
             let fa = w.frag("A", m, kk, Precision::Fp16);
             let fb = w.frag("B", kk, n, Precision::Fp16);
             let fc = w.frag("C", m, n, Precision::Fp16);
@@ -468,20 +507,47 @@ mod tests {
             }
             w.global_store(fc, BufferId(2), 0, 0);
         });
-        let (sim, nat, g_sim, g_nat) = both_backends(&k, |g| {
+        let [sim, nat] = assert_matches_reference(&sliced, |g| {
             g.upload("A", &Matrix::seeded_uniform(m, kk, 5), Precision::Fp16);
             g.upload("B", &Matrix::seeded_uniform(kk, n, 6), Precision::Fp16);
             g.alloc_zeroed("C", m, n, Precision::Fp16);
         });
         sim.unwrap();
         nat.unwrap();
-        assert_state_identical(&g_sim, &g_nat);
+        // Warp 0 stores then reloads the same C window inside one phase.
+        let rmw = BlockKernel::spmd(2, |i, w| {
+            let f = w.frag("x", 2, 2, Precision::Fp64);
+            w.global_load(f, BufferId(0), 0, 0);
+            if i == 0 {
+                w.global_store(f, BufferId(1), 0, 0);
+                w.global_load(f, BufferId(1), 0, 0);
+            }
+        });
+        let [sim, nat] = assert_matches_reference(&rmw, |g| {
+            g.upload("A", &Matrix::seeded_uniform(2, 2, 3), Precision::Fp64);
+            g.alloc_zeroed("C", 2, 2, Precision::Fp64);
+        });
+        sim.unwrap();
+        nat.unwrap();
+        // Each warp accumulates into a disjoint row band of C; the
+        // result must carry the reference's warp-order rounding.
+        let acc = BlockKernel::spmd(2, |i, w| {
+            let fa = w.frag("a", 2, 4, Precision::Fp16);
+            w.global_load(fa, BufferId(0), i * 2, 0);
+            w.global_accumulate(fa, BufferId(1), i * 2, 0);
+        });
+        let [sim, nat] = assert_matches_reference(&acc, |g| {
+            g.upload("A", &Matrix::seeded_uniform(4, 4, 7), Precision::Fp16);
+            g.upload("C", &Matrix::seeded_uniform(4, 4, 9), Precision::Fp16);
+        });
+        sim.unwrap();
+        nat.unwrap();
     }
 
     #[test]
     fn unsafe_phase_falls_back_and_errors_identically() {
-        // Cross-warp smem overlap: both backends must fall back to the
-        // serial loop and surface the identical hazard.
+        // Cross-warp smem overlap: native must fall back to the
+        // reference step and surface the identical hazard.
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
             w.zero_acc(f);
@@ -491,13 +557,16 @@ mod tests {
                 w.shared_load(f, 0);
             }
         });
-        let (sim, nat, _, _) = both_backends(&k, |_| {});
+        let [sim, nat] = assert_matches_reference(&k, |_| {});
         assert!(matches!(sim, Err(SimError::SharedMemoryHazard { .. })));
         assert_eq!(sim, nat);
     }
 
     #[test]
     fn native_reports_lowest_warp_error_like_sim() {
+        // Disjoint smem addresses (race-free), but warps 1 and 2 both
+        // store uninitialized fragments; the reference reaches warp 1
+        // first.
         let k = BlockKernel::spmd(3, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
             if i == 0 {
@@ -505,7 +574,7 @@ mod tests {
             }
             w.shared_store(f, i * 64);
         });
-        let (sim, nat, _, _) = both_backends(&k, |_| {});
+        let [sim, nat] = assert_matches_reference(&k, |_| {});
         assert!(matches!(
             sim,
             Err(SimError::UninitializedFragment { warp: 1, .. })
@@ -525,18 +594,14 @@ mod tests {
             w.zero_acc(c);
             w.mma(c, a, b);
         });
-        let (sim, nat, _, _) = both_backends(&k, |_| {});
+        let [sim, _] = assert_matches_reference(&k, |_| {});
         assert!(sim.is_err());
-        assert_eq!(
-            format!("{:?}", sim.unwrap_err()),
-            format!("{:?}", nat.unwrap_err())
-        );
     }
 
     #[test]
     fn native_single_warp_safe_phase_skips_fallback() {
-        // SimBackend runs single-warp phases serially (p > 1 gate); the
-        // native lean loop has no such gate and must still match.
+        // Sim has no fast path; the native lean loop takes every
+        // race-free phase, single-warp ones included.
         let n = 8;
         let k = BlockKernel::spmd(1, |_, w| {
             let fa = w.frag("A", n, n, Precision::Fp32);
@@ -548,13 +613,12 @@ mod tests {
             w.mma(fc, fa, fb);
             w.global_store(fc, BufferId(2), 0, 0);
         });
-        let (sim, nat, g_sim, g_nat) = both_backends(&k, |g| {
+        let [sim, nat] = assert_matches_reference(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(n, n, 3), Precision::Fp32);
             g.upload("B", &Matrix::seeded_uniform(n, n, 4), Precision::Fp32);
             g.alloc_zeroed("C", n, n, Precision::Fp32);
         });
         assert_eq!(sim.unwrap().fast_phases, 0);
         assert_eq!(nat.unwrap().fast_phases, 1);
-        assert_state_identical(&g_sim, &g_nat);
     }
 }

@@ -490,28 +490,24 @@ impl FleetServer {
         let r = &self.replicas[replica];
         let dev = r.device();
         let cost = r.server.config().cost.as_ref();
-        match &request.workload {
+        let work = match &request.workload {
             Workload::Dense(_) => {
                 let work = BlockWork::new(request.work_items());
-                Ok(self.plans.predict_makespan(dev, &work, cost)?)
+                return Ok(self.plans.predict_makespan(dev, &work, cost)?);
             }
-            Workload::Spmm { a, b, cfg } => {
-                let work = SparseWork::from_spmm(a, b.cols(), cfg.precision);
-                let mut s = Scheduler::new(dev);
-                if let Some(c) = cost {
-                    s = s.with_cost(c.clone());
-                }
-                Ok(s.run_sparse(&work, &self.plans)?.schedule.makespan_cycles)
-            }
-            Workload::Spgemm { a, b, cfg } => {
-                let work = SparseWork::from_spgemm(a, b, cfg.precision);
-                let mut s = Scheduler::new(dev);
-                if let Some(c) = cost {
-                    s = s.with_cost(c.clone());
-                }
-                Ok(s.run_sparse(&work, &self.plans)?.schedule.makespan_cycles)
-            }
+            Workload::Spmm { a, b, cfg } => SparseWork::from_spmm(a, b.cols(), cfg.precision),
+            Workload::Spgemm { a, b, cfg } => SparseWork::from_spgemm(a, b, cfg.precision),
+        };
+        // An empty product is zero device work, matching how each
+        // replica schedules it.
+        if work.total_nnz() == 0 {
+            return Ok(0.0);
         }
+        let mut s = Scheduler::new(dev);
+        if let Some(c) = cost {
+            s = s.with_cost(c.clone());
+        }
+        Ok(s.run_sparse(&work, &self.plans)?.schedule.makespan_cycles)
     }
 
     /// Predicted completion time of `request` on `replica`: the later

@@ -934,6 +934,17 @@ impl Server {
         work: &SparseWork,
         traced: bool,
     ) -> Result<GroupSchedule, kami_sched::SchedError> {
+        // An empty product (no nonzero blocks, or no contributing
+        // block pairs) is zero device work, not a scheduling error.
+        if work.total_nnz() == 0 {
+            return Ok(GroupSchedule {
+                makespan: 0.0,
+                observed: 0.0,
+                utilization: 0.0,
+                trace: None,
+                class: None,
+            });
+        }
         let (report, trace) = if traced {
             let (report, trace) = scheduler.run_sparse_traced(work, &self.plans)?;
             (report, Some(trace))

@@ -9,7 +9,7 @@
 //! | `EngineVsModel`  | engine per-phase cycle tallies  | Formulas 1–12 closed forms     |
 //! | `SchedulerTrace` | scheduler report fields         | the per-SM trace it emitted    |
 //! | `SparseVsDense`  | SpMM / SpGEMM kernels           | densified dense reference      |
-//! | `ExecParity`     | split cost+execute passes       | legacy interleaved engine      |
+//! | `ExecParity`     | split cost+execute, per backend | reference run (Sim backend)    |
 //!
 //! Tolerances: communication cycles must match the closed forms
 //! *exactly* (within float noise, `1e-6·(1+theory)`) because the engine
@@ -26,9 +26,9 @@ use kami_core::model::cycles::{self, ModelParams};
 use kami_core::model::{epilogue as epilogue_model, skinny};
 use kami_core::tallskinny::chunk_count;
 use kami_core::{
-    algo25d, combine_partials, gemm, gemm_cost, gemm_execute_plan_with, gemm_fused,
-    gemm_fused_legacy, gemm_legacy, gemm_padded, gemm_scaled, gemm_skinny, gemm_t, reference_gemm,
-    Algo, Epilogue, GemmRequest, KamiConfig, KamiError, MatOp, Op, SKINNY_CHUNK_K,
+    algo25d, combine_partials, gemm, gemm_cost, gemm_execute_plan_with, gemm_fused, gemm_padded,
+    gemm_scaled, gemm_skinny, gemm_t, reference_gemm, Algo, Epilogue, GemmRequest, GemmResult,
+    KamiConfig, KamiError, MatOp, Op, SKINNY_CHUNK_K,
 };
 use kami_gpu_sim::{BackendKind, CostConfig, CostMode, Matrix, Precision};
 use kami_sched::{BlockWork, PlanCache, SchedError, Scheduler};
@@ -44,8 +44,9 @@ pub enum CheckKind {
     /// Service-runtime replay vs the direct engine call (bit-identity
     /// and work conservation across coalesced ticks).
     Served,
-    /// Split plan→cost→execute pipeline vs the legacy interleaved
-    /// engine: bit-identical output, identical report, identical error.
+    /// Split plan→cost→execute pipeline, on every backend, vs the
+    /// reference run: bit-identical output, identical report,
+    /// identical error.
     ExecParity,
     /// Fleet replay vs single-server vs direct engine call: per-request
     /// bit-identity across placements, ticket conservation, and cost
@@ -227,13 +228,13 @@ pub fn run_case(
             }
 
             // Check: split-engine parity — the separated cost + execute
-            // passes must be indistinguishable from the legacy
-            // interleaved engine on the same inputs.
+            // passes must be indistinguishable from the reference run
+            // on the same inputs.
             check_exec_parity(case, &cfg, algo, &a, &b)?;
 
             // Check: the fused-epilogue plane — unfused-reference
             // numerics, exact closed-form cost deltas, and the fused
-            // engine's own split-vs-legacy parity.
+            // engine's own split-vs-reference parity.
             if let Some(kind) = case.epilogue {
                 if let CaseOutcome::Skip(reason) = check_epilogue(case, &cfg, algo, kind, &a, &b)? {
                     return Ok(CaseOutcome::Skip(reason));
@@ -425,11 +426,11 @@ fn check_dense_model(
 }
 
 /// Split-engine parity: `gemm_cost` + `gemm_execute_plan_with` (the
-/// plan → cost → execute pipeline) against `gemm_legacy` (the
-/// interleaved engine), for **every** [`BackendKind`]. Output bits, the
-/// full report, and any error must all be identical — zero tolerance,
-/// since the backend seam promises bit-exactness including accumulation
-/// order.
+/// plan → cost → execute pipeline) against the reference run (`gemm`
+/// on [`BackendKind::Sim`], one pass that executes and tallies), for
+/// **every** [`BackendKind`]. Output bits, the full report, and any
+/// error must all be identical — zero tolerance, since the backend
+/// seam promises bit-exactness including accumulation order.
 fn check_exec_parity(
     case: &Case,
     cfg: &KamiConfig,
@@ -438,65 +439,56 @@ fn check_exec_parity(
     b: &Matrix,
 ) -> Result<(), Mismatch> {
     let device = case.device.spec();
-    let legacy = gemm_legacy(&device, cfg, a, b);
+    let reference = gemm(&device, &cfg.clone().with_backend(BackendKind::Sim), a, b);
     for backend in BackendKind::ALL {
         let split = gemm_cost(&device, cfg, case.m, case.n, case.k)
             .and_then(|plan| gemm_execute_plan_with(&device, &plan, a, b, backend));
-        match (&legacy, &split) {
-            (Ok(l), Ok(s)) => {
-                let diff = s.c.max_abs_diff(&l.c);
-                if diff != 0.0 {
+        let what = format!("{} split engine ({backend}) vs reference run", algo.label());
+        match (&reference, &split) {
+            (Ok(r), Ok(s)) => same_result(&what, r, s)?,
+            (Err(re), Err(se)) => {
+                if format!("{re:?}") != format!("{se:?}") {
                     return Err(fail(
                         CheckKind::ExecParity,
-                        format!(
-                            "{} split-engine ({backend}) output differs from legacy by {diff:.3e} \
-                             (must be bit-identical)",
-                            algo.label()
-                        ),
-                    ));
-                }
-                let l_rep = serde_json::to_string(&l.report).unwrap_or_default();
-                let s_rep = serde_json::to_string(&s.report).unwrap_or_default();
-                if l_rep != s_rep {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} cost-pass report ({backend}) diverges from the legacy run",
-                            algo.label()
-                        ),
-                    ));
-                }
-            }
-            (Err(le), Err(se)) => {
-                if format!("{le:?}") != format!("{se:?}") {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} legacy error `{le}` != split ({backend}) error `{se}`",
-                            algo.label()
-                        ),
+                        format!("{what}: error `{se}` != `{re}`"),
                     ));
                 }
             }
             (Ok(_), Err(e)) => {
                 return Err(fail(
                     CheckKind::ExecParity,
-                    format!(
-                        "{} legacy engine ran but split engine ({backend}) failed: {e}",
-                        algo.label()
-                    ),
+                    format!("{what}: split failed where the reference ran: {e}"),
                 ))
             }
             (Err(e), Ok(_)) => {
                 return Err(fail(
                     CheckKind::ExecParity,
-                    format!(
-                        "{} split engine ({backend}) ran but legacy engine failed: {e}",
-                        algo.label()
-                    ),
+                    format!("{what}: split ran but the reference failed: {e}"),
                 ))
             }
         }
+    }
+    Ok(())
+}
+
+/// Zero-tolerance `ExecParity` comparison of two successful runs:
+/// identical output bits and an identical serialized report. `what`
+/// names the pair being compared.
+fn same_result(what: &str, want: &GemmResult, got: &GemmResult) -> Result<(), Mismatch> {
+    let diff = got.c.max_abs_diff(&want.c);
+    if diff != 0.0 {
+        return Err(fail(
+            CheckKind::ExecParity,
+            format!("{what}: output differs by {diff:.3e} (must be bit-identical)"),
+        ));
+    }
+    let want_rep = serde_json::to_string(&want.report).unwrap_or_default();
+    let got_rep = serde_json::to_string(&got.report).unwrap_or_default();
+    if want_rep != got_rep {
+        return Err(fail(
+            CheckKind::ExecParity,
+            format!("{what}: report diverges"),
+        ));
     }
     Ok(())
 }
@@ -510,8 +502,9 @@ fn check_exec_parity(
 ///   `model::epilogue` closed forms: extra gmem read bytes always
 ///   exact, the cycle delta exact under [`CostMode::Serial`] (the
 ///   `Overlap` max() can legitimately swallow the surcharge).
-/// * **ExecParity** — `gemm_fused_legacy` (interleaved engine) vs the
-///   split fused path: identical bits, identical report.
+/// * **ExecParity** — the reference run (`gemm_fused` on
+///   [`BackendKind::Sim`]) vs the fused path on every backend:
+///   identical bits, identical report.
 fn check_epilogue(
     case: &Case,
     cfg: &KamiConfig,
@@ -610,62 +603,39 @@ fn check_epilogue(
         }
     }
 
-    match gemm_fused_legacy(&device, cfg, a, b, &epi) {
-        Ok(legacy) => {
-            // Every backend's fused split run must reproduce the legacy
-            // twin; the default-backend run is already in hand.
-            for backend in BackendKind::ALL {
-                let split = if backend == cfg.backend {
-                    Ok(fused.clone())
-                } else {
-                    gemm_fused(&device, &cfg.clone().with_backend(backend), a, b, &epi)
-                };
-                let split = match split {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return Err(fail(
-                            CheckKind::ExecParity,
-                            format!(
-                                "{} fused split engine ({backend}) failed where legacy ran: {e}",
-                                algo.label()
-                            ),
-                        ))
-                    }
-                };
-                let diff = split.c.max_abs_diff(&legacy.c);
-                if diff != 0.0 {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} fused {} split ({backend}) output differs from legacy by \
-                             {diff:.3e} (must be bit-identical)",
-                            algo.label(),
-                            kind.label()
-                        ),
-                    ));
-                }
-                let l_rep = serde_json::to_string(&legacy.report).unwrap_or_default();
-                let s_rep = serde_json::to_string(&split.report).unwrap_or_default();
-                if l_rep != s_rep {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} fused {} split ({backend}) report diverges from the legacy run",
-                            algo.label(),
-                            kind.label()
-                        ),
-                    ));
-                }
-            }
+    let fused_on = |backend: BackendKind| {
+        if backend == cfg.backend {
+            Ok(fused.clone())
+        } else {
+            gemm_fused(&device, &cfg.clone().with_backend(backend), a, b, &epi)
         }
+    };
+    let reference = match fused_on(BackendKind::Sim) {
+        Ok(r) => r,
         Err(e) => {
             return Err(fail(
                 CheckKind::ExecParity,
                 format!(
-                    "{} fused split engine ran but the legacy twin failed: {e}",
+                    "{} fused path ran but the reference run failed: {e}",
                     algo.label()
                 ),
             ))
+        }
+    };
+    for backend in BackendKind::ALL {
+        let what = format!(
+            "{} fused {} ({backend}) vs reference run",
+            algo.label(),
+            kind.label()
+        );
+        match fused_on(backend) {
+            Ok(split) => same_result(&what, &reference, &split)?,
+            Err(e) => {
+                return Err(fail(
+                    CheckKind::ExecParity,
+                    format!("{what}: failed where the reference ran: {e}"),
+                ))
+            }
         }
     }
     Ok(CaseOutcome::Pass)
@@ -820,26 +790,7 @@ fn check_skinny(
     };
     let entry = if wide { "gemm_t(wide)" } else { "GemmAuto" };
     match routed {
-        Ok(r) => {
-            let diff = r.c.max_abs_diff(&res.c);
-            if diff != 0.0 {
-                return Err(fail(
-                    CheckKind::ExecParity,
-                    format!(
-                        "{entry} routing differs from gemm_skinny by {diff:.3e} \
-                         (must be bit-identical)"
-                    ),
-                ));
-            }
-            let l_rep = serde_json::to_string(&r.report).unwrap_or_default();
-            let s_rep = serde_json::to_string(&res.report).unwrap_or_default();
-            if l_rep != s_rep {
-                return Err(fail(
-                    CheckKind::ExecParity,
-                    format!("{entry} routed report diverges from the direct skinny run"),
-                ));
-            }
-        }
+        Ok(r) => same_result(&format!("{entry} routing vs gemm_skinny"), &res, &r)?,
         Err(e) => {
             return Err(fail(
                 CheckKind::ExecParity,
@@ -857,26 +808,11 @@ fn check_skinny(
         }
         let cfg_b = cfg.clone().with_backend(backend);
         match gemm_skinny(&device, &cfg_b, a, b, epi.as_ref()) {
-            Ok(r) => {
-                let diff = r.c.max_abs_diff(&res.c);
-                if diff != 0.0 {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "skinny path on {backend} differs from the default backend by \
-                             {diff:.3e} (must be bit-identical)"
-                        ),
-                    ));
-                }
-                let l_rep = serde_json::to_string(&r.report).unwrap_or_default();
-                let s_rep = serde_json::to_string(&res.report).unwrap_or_default();
-                if l_rep != s_rep {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!("skinny report on {backend} diverges from the default backend"),
-                    ));
-                }
-            }
+            Ok(r) => same_result(
+                &format!("skinny path on {backend} vs the default backend"),
+                &res,
+                &r,
+            )?,
             Err(e) => {
                 return Err(fail(
                     CheckKind::ExecParity,

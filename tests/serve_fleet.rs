@@ -244,3 +244,58 @@ fn cost_oracle_routing_beats_round_robin() {
          mixed square/tall-skinny trace"
     );
 }
+
+/// Routing prices an empty sparse product as zero device work instead
+/// of excluding every replica: `A` stores blocks only in block-column 0
+/// and `B` only in block-row 1 (empty SpGEMM), and an `A` with no
+/// blocks at all (empty SpMM). Both resolve `Ok` with the direct
+/// call's bits on the replica they landed on.
+#[test]
+fn empty_sparse_products_route_and_resolve() {
+    let cfg = KamiConfig::new(Algo::OneD, Precision::Fp16);
+    let dense = |seed| Matrix::seeded_uniform(16, 16, seed);
+    let a = BlockSparseMatrix::from_blocks(
+        64,
+        64,
+        16,
+        BlockOrder::RowMajor,
+        (0..4).map(|i| ((i, 0), dense(i as u64))).collect(),
+    );
+    let b = BlockSparseMatrix::from_blocks(
+        64,
+        64,
+        16,
+        BlockOrder::RowMajor,
+        (0..4).map(|j| ((1, j), dense(10 + j as u64))).collect(),
+    );
+    let empty = BlockSparseMatrix::from_blocks(64, 64, 16, BlockOrder::RowMajor, Vec::new());
+    let dense_b = Matrix::seeded_uniform(64, 64, 7);
+
+    let fleet = FleetServer::new(FleetSpec::table3(1));
+    let spgemm_ticket = fleet
+        .submit(ServeRequest::spgemm(a.clone(), b.clone(), cfg.clone()))
+        .expect("an empty product still routes");
+    let spmm_ticket = fleet
+        .submit(ServeRequest::spmm(
+            empty.clone(),
+            dense_b.clone(),
+            cfg.clone(),
+        ))
+        .expect("an empty product still routes");
+    let spgemm_dev = fleet.replicas()[spgemm_ticket.replica].device().clone();
+    let spmm_dev = fleet.replicas()[spmm_ticket.replica].device().clone();
+    fleet.shutdown_and_drain();
+
+    let served = spgemm_ticket.wait().expect("empty SpGEMM resolves Ok");
+    let served = served.output.into_spgemm().unwrap();
+    let direct = spgemm(&spgemm_dev, &cfg, &a, &b).unwrap();
+    assert_eq!(
+        served.c.to_dense().as_slice(),
+        direct.c.to_dense().as_slice()
+    );
+
+    let served = spmm_ticket.wait().expect("empty-A SpMM resolves Ok");
+    let served = served.output.into_spmm().unwrap();
+    let direct = spmm(&spmm_dev, &cfg, &empty, &dense_b).unwrap();
+    assert_eq!(served.c.as_slice(), direct.c.as_slice());
+}

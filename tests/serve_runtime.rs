@@ -633,3 +633,61 @@ fn observability_surface_is_consistent() {
     let json = trace.to_chrome_json();
     assert!(json.trim_start().starts_with('[') && json.contains("\"ph\": \"X\""));
 }
+
+/// Block-sparse operands whose product is empty by construction: `A`
+/// stores blocks only in block-column 0 and `B` only in block-row 1, so
+/// no `A(i,l)·B(l,j)` pair contributes. Also an `A` with no blocks at
+/// all, for SpMM.
+fn empty_product_operands() -> (BlockSparseMatrix, BlockSparseMatrix, BlockSparseMatrix) {
+    let dense = |seed| Matrix::seeded_uniform(16, 16, seed);
+    let a = BlockSparseMatrix::from_blocks(
+        64,
+        64,
+        16,
+        BlockOrder::RowMajor,
+        (0..4).map(|i| ((i, 0), dense(i as u64))).collect(),
+    );
+    let b = BlockSparseMatrix::from_blocks(
+        64,
+        64,
+        16,
+        BlockOrder::RowMajor,
+        (0..4).map(|j| ((1, j), dense(10 + j as u64))).collect(),
+    );
+    let empty = BlockSparseMatrix::from_blocks(64, 64, 16, BlockOrder::RowMajor, Vec::new());
+    (a, b, empty)
+}
+
+#[test]
+fn empty_sparse_products_serve_as_zero_work() {
+    let dev = device::gh200();
+    let cfg = KamiConfig::new(Algo::OneD, Precision::Fp16);
+    let (a, b, empty) = empty_product_operands();
+    let dense_b = Matrix::seeded_uniform(64, 64, 7);
+    let server = Server::new(&dev);
+    let spgemm_ticket = server
+        .submit(ServeRequest::spgemm(a.clone(), b.clone(), cfg.clone()))
+        .unwrap();
+    let spmm_ticket = server
+        .submit(ServeRequest::spmm(
+            empty.clone(),
+            dense_b.clone(),
+            cfg.clone(),
+        ))
+        .unwrap();
+    server.shutdown_and_drain();
+
+    let served = spgemm_ticket.wait().expect("empty SpGEMM resolves Ok");
+    let served = served.output.into_spgemm().unwrap();
+    let direct = spgemm(&dev, &cfg, &a, &b).unwrap();
+    assert_eq!(served.c.nnz_blocks(), direct.c.nnz_blocks());
+    assert_eq!(
+        served.c.to_dense().as_slice(),
+        direct.c.to_dense().as_slice()
+    );
+
+    let served = spmm_ticket.wait().expect("empty-A SpMM resolves Ok");
+    let served = served.output.into_spmm().unwrap();
+    let direct = spmm(&dev, &cfg, &empty, &dense_b).unwrap();
+    assert_eq!(served.c.as_slice(), direct.c.as_slice());
+}

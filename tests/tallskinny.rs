@@ -1,17 +1,17 @@
 //! Tall-skinny k-split path: property-based bit-identity against a
-//! hand-recomposed `gemm_legacy` oracle, fused epilogues against the
+//! hand-recomposed reference-run oracle, fused epilogues against the
 //! unfused reference application, and a deep-k regression pin.
 //!
 //! The oracle re-implements the documented numerics contract from
 //! scratch — chunk `i` covers A columns `[i·CK, (i+1)·CK)`, partials
 //! merge pairwise `(0,1), (2,3), …` level by level with one rounding at
-//! the output precision per add, the epilogue applies last — but runs
-//! every chunk through the *legacy* interleaved engine, so the test is
-//! differential across both the decomposition and the engine split.
+//! the output precision per add, the epilogue applies last — and runs
+//! every chunk through `gemm` on the Sim backend (the reference run),
+//! so the test is differential across the decomposition.
 
 use kami::core::gemm::c_precision;
 use kami::core::{
-    combine_partials, gemm_legacy, gemm_padded, gemm_skinny, is_tall_skinny, reference_gemm, Algo,
+    combine_partials, gemm, gemm_padded, gemm_skinny, is_tall_skinny, reference_gemm, Algo,
     Epilogue, KamiConfig, SKINNY_CHUNK_K, SKINNY_K_MIN,
 };
 use kami::prelude::*;
@@ -25,10 +25,10 @@ fn skinny_cfg(prec: Precision) -> KamiConfig {
     cfg
 }
 
-/// The contract oracle: chunked legacy GEMMs + pairwise-tree merge +
-/// unfused reference epilogue. `k` must be a multiple of
-/// [`SKINNY_CHUNK_K`] so the legacy engine sees full chunks (ragged
-/// tails go through `gemm_padded`, covered by the pin test below).
+/// The contract oracle: chunked reference-run GEMMs + pairwise-tree
+/// merge + unfused reference epilogue. `k` must be a multiple of
+/// [`SKINNY_CHUNK_K`] so every chunk is a full block GEMM (ragged tails
+/// go through `gemm_padded`, covered by the pin test below).
 fn recomposed_oracle(
     dev: &DeviceSpec,
     cfg: &KamiConfig,
@@ -46,7 +46,8 @@ fn recomposed_oracle(
         let a_i = a.submatrix(0, k0, m, ck);
         let b_i = b.submatrix(k0, 0, ck, n);
         let part = if ck == SKINNY_CHUNK_K {
-            gemm_legacy(dev, cfg, &a_i, &b_i).expect("full chunk runs legacy")
+            let reference = cfg.clone().with_backend(BackendKind::Sim);
+            gemm(dev, &reference, &a_i, &b_i).expect("full chunk runs the reference")
         } else {
             gemm_padded(dev, cfg, &a_i, &b_i).expect("ragged chunk runs padded")
         };
@@ -63,7 +64,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Plain skinny products are bit-identical to the recomposed
-    /// legacy-engine oracle, and numerically close to the CPU reference.
+    /// reference-run oracle, and numerically close to the CPU reference.
     #[test]
     fn skinny_matches_recomposed_legacy_oracle(
         mi in 1usize..=2,

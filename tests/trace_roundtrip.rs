@@ -2,11 +2,14 @@
 //! the Chrome-trace JSON must parse back, every warp track must be
 //! overlap-free, and event durations must stay within their phase's
 //! cycle budget. The same checks are applied to the merged device-level
-//! trace the scheduler emits (one track per SM).
+//! trace the scheduler emits (one track per SM). The reference run's
+//! report and trace must also serialize identically to the cost pass's.
 
-use kami::core::{Algo, KamiConfig};
+use kami::core::{algo1d, algo2d, algo3d, Algo, KamiConfig};
 use kami::sched::{BlockWork, PlanCache, Scheduler};
-use kami::sim::{device, Engine, GlobalMemory, Matrix, Precision, Trace};
+use kami::sim::{
+    device, CostConfig, CostMode, DeviceSpec, Engine, GlobalMemory, Matrix, Precision, Trace,
+};
 use serde_json::Value;
 
 /// Shared validity checks for any trace.
@@ -142,4 +145,51 @@ fn device_trace_round_trips_and_is_valid() {
     use kami::sim::TraceKind;
     assert!(trace.cycles_by_kind(TraceKind::GlobalStore) > 0.0);
     assert!(trace.cycles_by_kind(TraceKind::GlobalLoad) > 0.0);
+}
+
+/// The reference run (`run_traced`: execute and tally in one pass) and
+/// the cost pass (`plan` + `cost_traced`, no matrix data) serialize to
+/// the same report and trace on every Table 3 device, for every KAMI
+/// algorithm, under both cost modes.
+#[test]
+fn reference_run_matches_cost_pass_on_table3_grid() {
+    let (n, prec) = (32, Precision::Fp16);
+    for dev in DeviceSpec::all_evaluated() {
+        for algo in Algo::ALL {
+            for mode in [CostMode::Serial, CostMode::Overlap] {
+                let cfg = KamiConfig::new(algo, prec);
+                let mut gmem = GlobalMemory::new();
+                let ab = gmem.upload("A", &Matrix::seeded_uniform(n, n, 1), prec);
+                let bb = gmem.upload("B", &Matrix::seeded_uniform(n, n, 2), prec);
+                let cb = gmem.alloc_zeroed("C", n, n, prec);
+                let build = match algo {
+                    Algo::OneD => algo1d::build_kernel,
+                    Algo::TwoD => algo2d::build_kernel,
+                    Algo::ThreeD => algo3d::build_kernel,
+                };
+                let kernel = build(&cfg, n, n, n, ab, bb, cb, prec);
+                let engine = Engine::with_cost(
+                    &dev,
+                    CostConfig {
+                        mode,
+                        ..CostConfig::default()
+                    },
+                );
+                let plan = engine.plan(&kernel).unwrap();
+                let (cost_report, cost_trace) = engine.cost_traced(&plan, &gmem.layout()).unwrap();
+                let (report, trace) = engine.run_traced(&kernel, &mut gmem).unwrap();
+                let at = format!("{} {} {mode:?}", dev.name, algo.label());
+                assert_eq!(
+                    serde_json::to_string(&report).unwrap(),
+                    serde_json::to_string(&cost_report).unwrap(),
+                    "{at}: report diverges"
+                );
+                assert_eq!(
+                    serde_json::to_string(&trace).unwrap(),
+                    serde_json::to_string(&cost_trace).unwrap(),
+                    "{at}: trace diverges"
+                );
+            }
+        }
+    }
 }
