@@ -9,6 +9,10 @@
 //! Both backends are bit-identical by contract (asserted here on every
 //! shape); the only difference is wall-clock.
 //!
+//! Each shape is timed over `TRIALS` trials, alternating the backends
+//! within a trial; the table reports the median and the minimum runs/s
+//! of each backend across trials.
+//!
 //! ```text
 //! cargo run --release -p kami-bench --bin backend_study [-- --quick] [--out PATH]
 //! ```
@@ -21,14 +25,26 @@ use kami_core::{gemm_cost_auto, gemm_execute_plan_with, Algo, KamiConfig};
 use kami_gpu_sim::{device, BackendKind, Matrix, Precision};
 use std::time::Instant;
 
-/// Warm-path shape classes: the serve mix plus one register-ladder
-/// escalated block where the MMA volume dominates.
-const SHAPES: [(usize, usize, usize, Algo); 4] = [
-    (64, 64, 64, Algo::TwoD),
-    (32, 32, 64, Algo::OneD),
-    (128, 64, 64, Algo::TwoD),
-    (128, 128, 128, Algo::TwoD),
+/// Warm-path shape classes: the serve mix, one register-ladder
+/// escalated block where the MMA volume dominates, and the two 3D
+/// classes the server's tuner picks for its heaviest requests.
+const SHAPES: [(usize, usize, usize, Algo, Precision); 6] = [
+    (64, 64, 64, Algo::TwoD, Precision::Fp16),
+    (32, 32, 64, Algo::OneD, Precision::Fp16),
+    (128, 64, 64, Algo::TwoD, Precision::Fp16),
+    (128, 128, 128, Algo::TwoD, Precision::Fp16),
+    (128, 128, 128, Algo::ThreeD, Precision::Fp16),
+    (64, 64, 64, Algo::ThreeD, Precision::Fp64),
 ];
+
+/// Timed trials per shape and backend.
+const TRIALS: usize = 5;
+
+/// Median and minimum of `xs` (sorted in place).
+fn median_min(xs: &mut [f64]) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0])
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,21 +54,24 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "target/BENCH_backend.json".into());
-    let iters = if quick { 24 } else { 120 };
+    let iters = if quick { 8 } else { 24 };
     let dev = device::gh200();
 
-    println!("# backend_study: warm execute-only runs/sec per backend, {iters} iters/shape");
-    println!("# fp16, plain C=A*B, plan+cost cached (gemm_cost_auto once per shape)\n");
     println!(
-        "{:<14} {:>12} {:>12} {:>9}",
-        "shape", "sim runs/s", "native runs/s", "speedup"
+        "# backend_study: warm execute-only runs/sec per backend, \
+         {TRIALS} trials x {iters} iters/shape"
+    );
+    println!("# plain C=A*B, plan+cost cached (gemm_cost_auto once per shape)\n");
+    println!(
+        "{:<22} {:>10} {:>10} {:>13} {:>13} {:>9}",
+        "shape", "sim med", "sim min", "native med", "native min", "speedup"
     );
 
     let mut rows = Vec::new();
     let mut sim_total = 0.0f64;
     let mut native_total = 0.0f64;
-    for (i, &(m, n, k, algo)) in SHAPES.iter().enumerate() {
-        let cfg = KamiConfig::new(algo, Precision::Fp16);
+    for (i, &(m, n, k, algo, prec)) in SHAPES.iter().enumerate() {
+        let cfg = KamiConfig::new(algo, prec);
         let plan = gemm_cost_auto(&dev, &cfg, m, n, k).expect("shape is feasible");
         let a = Matrix::seeded_uniform(m, k, i as u64);
         let b = Matrix::seeded_uniform(k, n, i as u64 + 100);
@@ -66,37 +85,46 @@ fn main() {
             .expect("native executes")
             .c;
         assert_eq!(
-            sim_c.max_abs_diff(&native_c),
-            0.0,
+            sim_c.as_slice(),
+            native_c.as_slice(),
             "{m}x{n}x{k}: backends must be bit-identical"
         );
 
-        let mut secs = [0.0f64; 2];
-        for (slot, backend) in [BackendKind::Sim, BackendKind::Native]
-            .into_iter()
-            .enumerate()
-        {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                gemm_execute_plan_with(&dev, &plan, &a, &b, backend).expect("warm execute");
+        // runs/s per trial, [sim, native].
+        let mut rps = [Vec::new(), Vec::new()];
+        for _ in 0..TRIALS {
+            for (slot, backend) in [BackendKind::Sim, BackendKind::Native]
+                .into_iter()
+                .enumerate()
+            {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    gemm_execute_plan_with(&dev, &plan, &a, &b, backend).expect("warm execute");
+                }
+                let secs = t0.elapsed().as_secs_f64();
+                if slot == 0 {
+                    sim_total += secs;
+                } else {
+                    native_total += secs;
+                }
+                rps[slot].push(iters as f64 / secs);
             }
-            secs[slot] = t0.elapsed().as_secs_f64();
         }
-        let (sim_secs, native_secs) = (secs[0], secs[1]);
-        sim_total += sim_secs;
-        native_total += native_secs;
-        let sim_rps = iters as f64 / sim_secs;
-        let native_rps = iters as f64 / native_secs;
-        let speedup = native_rps / sim_rps;
+        let (sim_med, sim_min) = median_min(&mut rps[0]);
+        let (native_med, native_min) = median_min(&mut rps[1]);
+        let speedup = native_med / sim_med;
+        let shape = format!("{m}x{n}x{k} {} {}", algo.label(), prec.label());
         println!(
-            "{:<14} {sim_rps:>12.1} {native_rps:>12.1} {speedup:>8.2}x",
-            format!("{m}x{n}x{k}")
+            "{shape:<22} {sim_med:>10.1} {sim_min:>10.1} {native_med:>13.1} {native_min:>13.1} \
+             {speedup:>8.2}x"
         );
         rows.push(format!(
-            "    {{\"shape\": \"{m}x{n}x{k}\", \"algo\": \"{}\", \
-             \"sim_secs\": {sim_secs:.6}, \"native_secs\": {native_secs:.6}, \
-             \"speedup\": {speedup:.3}}}",
-            algo.label()
+            "    {{\"shape\": \"{m}x{n}x{k}\", \"algo\": \"{}\", \"precision\": \"{}\", \
+             \"sim_runs_per_s_median\": {sim_med:.3}, \"sim_runs_per_s_min\": {sim_min:.3}, \
+             \"native_runs_per_s_median\": {native_med:.3}, \
+             \"native_runs_per_s_min\": {native_min:.3}, \"speedup\": {speedup:.3}}}",
+            algo.label(),
+            prec.label()
         ));
     }
 
@@ -105,7 +133,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"study\": \"backend_study\",\n  \"device\": \"{}\",\n  \
-         \"iters_per_shape\": {iters},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"trials\": {TRIALS},\n  \"iters_per_trial\": {iters},\n  \"shapes\": [\n{}\n  ],\n  \
          \"sim_total_secs\": {sim_total:.6},\n  \"native_total_secs\": {native_total:.6},\n  \
          \"aggregate_speedup\": {aggregate:.3},\n  \"gate\": \"native >= 2x sim\"\n}}\n",
         dev.name,

@@ -16,7 +16,7 @@
 use crate::config::KamiConfig;
 use crate::error::KamiError;
 use crate::gemm::{exec_gemm_auto, exec_gemm_padded, GemmResult};
-use kami_gpu_sim::{DeviceSpec, ExecutionReport, Matrix};
+use kami_gpu_sim::{DeviceSpec, ExecOutcome, ExecutionReport, Matrix};
 use rayon::prelude::*;
 
 /// Result of a batched GEMM.
@@ -33,6 +33,8 @@ pub struct BatchedResult {
     pub total_cycles: f64,
     /// Useful flops over the whole batch.
     pub useful_flops: u64,
+    /// Execution paths, summed over every block that ran.
+    pub exec: ExecOutcome,
 }
 
 impl BatchedResult {
@@ -110,9 +112,11 @@ pub(crate) fn exec_batched_gemm(
     let mut outputs = Vec::with_capacity(pairs.len());
     let mut first_report: Option<ExecutionReport> = None;
     let mut useful = 0u64;
+    let mut exec = ExecOutcome::empty(cfg.backend);
     for r in results {
         let r = r?;
         useful += r.useful_flops;
+        exec = exec.merge(r.exec);
         if first_report.is_none() {
             first_report = Some(r.report.clone());
         }
@@ -126,6 +130,7 @@ pub(crate) fn exec_batched_gemm(
         batch: pairs.len(),
         total_cycles,
         useful_flops: useful,
+        exec,
     })
 }
 
@@ -172,9 +177,11 @@ pub(crate) fn exec_batched_gemm_varied(
     let mut block_cycles = Vec::with_capacity(pairs.len());
     let mut first_report: Option<ExecutionReport> = None;
     let mut useful = 0u64;
+    let mut exec = ExecOutcome::empty(cfg.backend);
     for r in results {
         let r = r?;
         useful += r.useful_flops;
+        exec = exec.merge(r.exec);
         block_cycles.push(r.report.cycles);
         if first_report.is_none() {
             first_report = Some(r.report.clone());
@@ -188,6 +195,7 @@ pub(crate) fn exec_batched_gemm_varied(
         batch: pairs.len(),
         total_cycles,
         useful_flops: useful,
+        exec,
     })
 }
 
@@ -248,6 +256,7 @@ pub fn estimate_batched(
         batch,
         total_cycles,
         useful_flops: one.useful_flops * batch as u64,
+        exec: one.exec,
     })
 }
 

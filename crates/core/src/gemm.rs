@@ -20,7 +20,8 @@ use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
 use kami_gpu_sim::{
-    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, RunOptions, SimError,
+    DeviceSpec, Engine, ExecOutcome, ExecutionReport, GlobalMemory, Matrix, Precision, RunOptions,
+    SimError,
 };
 
 /// Output of one block GEMM.
@@ -35,6 +36,10 @@ pub struct GemmResult {
     pub smem_fraction: f64,
     /// Useful flops of the logical problem (`2·m·n·k`), for TFLOPS math.
     pub useful_flops: u64,
+    /// Which backend executed the numerics and how its phases split
+    /// between the fast path and the reference step, summed over every
+    /// kernel the result took (k-split chunks included).
+    pub exec: ExecOutcome,
 }
 
 impl GemmResult {
@@ -79,14 +84,14 @@ pub(crate) fn run_kernel(
     cfg: &KamiConfig,
     kernel: &kami_gpu_sim::BlockKernel,
     gmem: &mut GlobalMemory,
-) -> Result<ExecutionReport, SimError> {
+) -> Result<(ExecutionReport, ExecOutcome), SimError> {
     Engine::with_cost(device, cfg.cost.clone())
         .run_kernel(
             kernel,
             gmem,
             &RunOptions::default().with_backend(cfg.backend),
         )
-        .map(|run| run.report)
+        .map(|run| (run.report, run.exec))
 }
 
 /// Run one KAMI block GEMM: `C = A·B` with `A: m×k`, `B: k×n`.
@@ -133,12 +138,13 @@ pub(crate) fn exec_gemm(
     let cb = gmem.alloc_zeroed("C", m, n, c_prec);
 
     let kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
+    let (report, exec) = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
         smem_fraction: cfg.smem_fraction,
         useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+        exec,
     })
 }
 
@@ -220,12 +226,13 @@ pub(crate) fn exec_gemm_scaled(
     let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
     apply_epilogue(&mut kernel, cb, alpha, beta, three_d, c_prec);
 
-    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
+    let (report, exec) = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
         smem_fraction: cfg.smem_fraction,
         useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+        exec,
     })
 }
 
@@ -278,6 +285,7 @@ fn gemm_beta_only(
         smem_fraction: cfg.smem_fraction,
         // No multiplications are performed (or charged) when alpha = 0.
         useful_flops: 0,
+        exec: ExecOutcome::empty(cfg.backend),
     })
 }
 
@@ -509,12 +517,13 @@ pub(crate) fn exec_gemm_fused(
     let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
     fuse_epilogue_ops(&mut kernel, cb, bias_buf, epilogue, n, c_prec)?;
 
-    let report = run_kernel(device, cfg, &kernel, &mut gmem)?;
+    let (report, exec) = run_kernel(device, cfg, &kernel, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
         smem_fraction: cfg.smem_fraction,
         useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+        exec,
     })
 }
 

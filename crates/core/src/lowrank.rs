@@ -123,18 +123,17 @@ pub fn lowrank_gemm_colsplit(
     let bb = gmem.upload("V", v, prec);
     let cb = gmem.alloc_zeroed("C", m, n, c_prec);
     let kernel = build_colsplit_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    let report = Engine::with_cost(device, cfg.cost.clone())
-        .run_kernel(
-            &kernel,
-            &mut gmem,
-            &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
-        )?
-        .report;
+    let run = Engine::with_cost(device, cfg.cost.clone()).run_kernel(
+        &kernel,
+        &mut gmem,
+        &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
+    )?;
     Ok(GemmResult {
         c: gmem.download(cb),
-        report,
+        report: run.report,
         smem_fraction: cfg.smem_fraction,
         useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+        exec: run.exec,
     })
 }
 

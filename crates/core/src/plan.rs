@@ -148,12 +148,13 @@ pub fn gemm_execute_plan_with(
     let kernel = build_gemm_kernel(cfg, plan.m, plan.n, plan.k, ab, bb, cb, c_prec);
     let engine = Engine::with_cost(device, cfg.cost.clone());
     let planned = engine.plan(&kernel)?;
-    engine.execute_with(backend, &planned, &mut gmem)?;
+    let exec = engine.execute_with(backend, &planned, &mut gmem)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report: plan.report.clone(),
         smem_fraction: plan.smem_fraction,
         useful_flops: plan.useful_flops,
+        exec,
     })
 }
 

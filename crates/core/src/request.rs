@@ -43,7 +43,7 @@ use crate::model::skinny::{is_tall_skinny, SKINNY_CHUNK_K};
 use crate::plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan_with, GemmPlan};
 use crate::tallskinny::gemm_skinny;
 use crate::tune::{tune, SharedTuner};
-use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, Matrix, Precision};
+use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, ExecOutcome, Matrix, Precision};
 
 /// The operation a [`GemmRequest`] describes.
 #[derive(Debug, Clone)]
@@ -128,6 +128,14 @@ impl GemmResponse {
         match self {
             GemmResponse::Single(r) => r.useful_flops,
             GemmResponse::Batched(r) => r.useful_flops,
+        }
+    }
+
+    /// Which backend executed the numerics and how its phases split.
+    pub fn exec(&self) -> ExecOutcome {
+        match self {
+            GemmResponse::Single(r) => r.exec,
+            GemmResponse::Batched(r) => r.exec,
         }
     }
 }
@@ -394,6 +402,16 @@ impl GemmRequest {
     /// warp/fraction/cost overrides applied on top. Skinny requests
     /// tune the chunk shape (see [`GemmRequest::is_skinny`]).
     pub fn resolve_config(&self, device: &DeviceSpec) -> Result<KamiConfig, KamiError> {
+        self.resolve_config_on(device, self.backend)
+    }
+
+    /// [`GemmRequest::resolve_config`] with `backend` in place of the
+    /// request's own backend override.
+    fn resolve_config_on(
+        &self,
+        device: &DeviceSpec,
+        backend: Option<BackendKind>,
+    ) -> Result<KamiConfig, KamiError> {
         let cfg = match self.algo {
             Some(algo) => KamiConfig::new(algo, self.precision),
             None => {
@@ -401,7 +419,7 @@ impl GemmRequest {
                 tune(device, m, n, k, self.precision)?.cfg
             }
         };
-        Ok(self.apply_overrides(cfg))
+        Ok(self.apply_overrides(cfg, backend))
     }
 
     /// Like [`GemmRequest::resolve_config`], but serve the autotuning
@@ -420,7 +438,7 @@ impl GemmRequest {
                 tuner.config_for(device, m, n, k, self.precision)?.cfg
             }
         };
-        Ok(self.apply_overrides(cfg))
+        Ok(self.apply_overrides(cfg, self.backend))
     }
 
     /// The dense operand pair of a pass-level request, or a typed error
@@ -484,9 +502,9 @@ impl GemmRequest {
         gemm_execute_plan_with(device, plan, a, b, backend)
     }
 
-    /// The explicit warp/fraction/cost/backend overrides, applied on
-    /// top of a resolved base configuration.
-    fn apply_overrides(&self, mut cfg: KamiConfig) -> KamiConfig {
+    /// The explicit warp/fraction/cost overrides and `backend`, applied
+    /// on top of a resolved base configuration.
+    fn apply_overrides(&self, mut cfg: KamiConfig, backend: Option<BackendKind>) -> KamiConfig {
         cfg.precision = self.precision;
         if let Some(w) = self.warps {
             cfg.warps = w;
@@ -497,7 +515,7 @@ impl GemmRequest {
         if let Some(c) = &self.cost {
             cfg.cost = c.clone();
         }
-        if let Some(bk) = self.backend {
+        if let Some(bk) = backend {
             cfg.backend = bk;
         }
         cfg
@@ -505,6 +523,26 @@ impl GemmRequest {
 
     /// Execute on `device`, returning a [`GemmResponse`].
     pub fn execute(&self, device: &DeviceSpec) -> Result<GemmResponse, KamiError> {
+        self.execute_with_backend(device, self.backend)
+    }
+
+    /// [`GemmRequest::execute`] on `backend` unless the request carries
+    /// its own [`GemmRequest::backend`] override, which wins. Service
+    /// layers apply their configured backend this way without cloning
+    /// the request's operands.
+    pub fn execute_on(
+        &self,
+        device: &DeviceSpec,
+        backend: BackendKind,
+    ) -> Result<GemmResponse, KamiError> {
+        self.execute_with_backend(device, Some(self.backend.unwrap_or(backend)))
+    }
+
+    fn execute_with_backend(
+        &self,
+        device: &DeviceSpec,
+        backend: Option<BackendKind>,
+    ) -> Result<GemmResponse, KamiError> {
         match &self.op {
             Op::Batched { pairs, varied } => {
                 if !self.is_plain() {
@@ -512,7 +550,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for batched requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_on(device, backend)?;
                 let res = if *varied {
                     exec_batched_gemm_varied(device, &cfg, pairs)?
                 } else {
@@ -520,12 +558,22 @@ impl GemmRequest {
                 };
                 Ok(GemmResponse::Batched(res))
             }
-            _ => self.execute_single(device).map(GemmResponse::Single),
+            _ => self
+                .execute_single_with_backend(device, backend)
+                .map(GemmResponse::Single),
         }
     }
 
     /// Execute a single-block request (everything except `Op::Batched`).
     pub fn execute_single(&self, device: &DeviceSpec) -> Result<GemmResult, KamiError> {
+        self.execute_single_with_backend(device, self.backend)
+    }
+
+    fn execute_single_with_backend(
+        &self,
+        device: &DeviceSpec,
+        backend: Option<BackendKind>,
+    ) -> Result<GemmResult, KamiError> {
         if self.epilogue.is_some() && !self.scalars_plain() {
             return Err(KamiError::Unsupported {
                 detail: "fused epilogue requires a plain product (alpha = 1, beta = 0, no C0)"
@@ -535,7 +583,7 @@ impl GemmRequest {
         let plain = self.is_plain();
         match &self.op {
             Op::Gemm { a, b } => {
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_on(device, backend)?;
                 if let Some(epi) = &self.epilogue {
                     exec_gemm_fused(device, &cfg, a, b, epi)
                 } else if plain {
@@ -550,10 +598,10 @@ impl GemmRequest {
                 // chunk-shape configuration resolves fine, but nothing
                 // monolithic would.
                 if self.is_skinny() {
-                    let cfg = self.resolve_config(device)?;
+                    let cfg = self.resolve_config_on(device, backend)?;
                     return gemm_skinny(device, &cfg, a, b, self.epilogue.as_ref());
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_on(device, backend)?;
                 if let Some(epi) = &self.epilogue {
                     exec_gemm_fused_auto(device, &cfg, a, b, epi)
                 } else if plain {
@@ -577,7 +625,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for padded requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_on(device, backend)?;
                 exec_gemm_padded(device, &cfg, a, b)
             }
             Op::TwoHalfD { a, b, q, c } => {
@@ -592,7 +640,7 @@ impl GemmRequest {
                 if let Some(cost) = &self.cost {
                     cfg25.cost = cost.clone();
                 }
-                if let Some(bk) = self.backend {
+                if let Some(bk) = backend {
                     cfg25.backend = bk;
                 }
                 gemm_25d(device, &cfg25, a, b)
@@ -603,7 +651,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for low-rank requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_on(device, backend)?;
                 exec_lowrank_gemm(device, &cfg, u, v)
             }
             Op::Batched { .. } => Err(KamiError::Unsupported {

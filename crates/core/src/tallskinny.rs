@@ -26,7 +26,7 @@ pub use crate::model::skinny::{
     chunk_count, is_tall_skinny, SKINNY_CHUNK_K, SKINNY_DIM_MAX, SKINNY_K_MIN,
 };
 use kami_gpu_sim::cost::{phase_cost, PhaseCost};
-use kami_gpu_sim::{DeviceSpec, ExecutionReport, Matrix, Precision};
+use kami_gpu_sim::{DeviceSpec, ExecOutcome, ExecutionReport, Matrix, Precision};
 
 /// Merge partial C tiles pairwise, level by level (`(0,1), (2,3), …`;
 /// an odd survivor passes through), rounding once at `prec` per add.
@@ -91,6 +91,7 @@ pub fn gemm_skinny(
     let mut gmem_bytes_written = 0u64;
     let mut smem_fraction = cfg.smem_fraction;
     let mut registers_per_warp = Vec::new();
+    let mut exec = ExecOutcome::empty(cfg.backend);
 
     for i in 0..chunks {
         let k0 = i * SKINNY_CHUNK_K;
@@ -107,6 +108,7 @@ pub fn gemm_skinny(
         smem_extent = smem_extent.max(res.report.smem_extent);
         gmem_bytes_read += res.report.gmem_bytes_read;
         gmem_bytes_written += res.report.gmem_bytes_written;
+        exec = exec.merge(res.exec);
         if i == 0 {
             smem_fraction = res.smem_fraction;
             registers_per_warp = res.report.registers_per_warp.clone();
@@ -155,6 +157,7 @@ pub fn gemm_skinny(
         },
         smem_fraction,
         useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+        exec,
     })
 }
 

@@ -18,7 +18,7 @@
 use crate::cost::{phase_cost, CostConfig, PhaseCost, PhaseTally};
 use crate::device::DeviceSpec;
 use crate::error::SimError;
-use crate::fragment::FragValue;
+use crate::fragment::{FragDecl, FragValue};
 use crate::memory::global::GlobalMemory;
 use crate::memory::regfile::{self, LiveRange, RegisterUsage};
 use crate::memory::shared::SharedMemory;
@@ -26,7 +26,7 @@ use crate::passes::PlannedKernel;
 use crate::precision::Precision;
 use crate::program::{BlockKernel, Op, UnaryFunc, WarpProgram};
 use crate::report::ExecutionReport;
-use crate::tensor_core::{mma_fragment, shape_for};
+use crate::tensor_core::{mma_fragment, shape_for, MmaShape};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 
@@ -317,8 +317,15 @@ impl<'a> Engine<'a> {
                     (d.rows, d.cols)
                 };
                 let bytes = rows * cols * gmem.precision(buf).size_bytes();
-                let data = warp_frags[src].data.clone();
-                gmem.write_window(buf, row0, col0, rows, cols, &data, accumulate);
+                gmem.write_window(
+                    buf,
+                    row0,
+                    col0,
+                    rows,
+                    cols,
+                    &warp_frags[src].data,
+                    accumulate,
+                );
                 tally.gmem_bytes += bytes as u64;
                 if accumulate {
                     // RMW reads too.
@@ -330,8 +337,7 @@ impl<'a> Engine<'a> {
                 require_init(warp_frags, src, w, prog)?;
                 let elem = warp_frags[src].decl.precision.size_bytes();
                 let n = warp_frags[src].decl.elems();
-                let data = warp_frags[src].data.clone();
-                smem.store(addr, elem, &data)
+                smem.store(addr, elem, &warp_frags[src].data)
                     .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
                 tally.smem_bytes_written += (n * elem) as u64;
                 writes.push((w, (addr, n * elem)));
@@ -495,55 +501,23 @@ impl<'a> Engine<'a> {
         warp_frags: &mut [FragValue],
         tally: &mut PhaseTally,
     ) -> Result<u64, SimError> {
-        let (ad, bd, dd) = (
-            frag_decl(prog, a)?.clone(),
-            frag_decl(prog, b)?.clone(),
-            frag_decl(prog, d)?.clone(),
-        );
-        if ad.precision != bd.precision {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
-            });
-        }
-        let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
-        let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
-        if ac0 + ak > ad.cols || br0 + bk > bd.rows {
-            return Err(SimError::BadOperand {
-                detail: format!(
-                    "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
-                    ac0 + ak,
-                    ad.cols,
-                    br0 + bk,
-                    bd.rows
-                ),
-            });
-        }
-        if ak != bk {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("k extents differ: {ak} vs {bk}"),
-            });
-        }
-        if dd.rows != ad.rows || dd.cols != bd.cols {
-            return Err(SimError::ShapeMismatch {
-                detail: format!(
-                    "C is {}x{} but A·B is {}x{}",
-                    dd.rows, dd.cols, ad.rows, bd.cols
-                ),
-            });
-        }
-        let shape =
-            shape_for(self.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
-                device: self.device.name.to_string(),
-                precision: ad.precision.label().to_string(),
-            })?;
+        let MmaOperands {
+            a: ad,
+            b: bd,
+            ac0,
+            br0,
+            k,
+            shape,
+            ..
+        } = check_mma(self.device, prog, d, a, b, a_cols, b_rows)?;
 
         // Extract the k-slices row-major.
-        let (m, n, k) = (ad.rows, bd.cols, ak);
+        let (m, n) = (ad.rows, bd.cols);
         let a_slice: Vec<f64> = {
             let src = &warp_frags[a].data;
             let mut v = Vec::with_capacity(m * k);
             for r in 0..m {
-                v.extend_from_slice(&src[r * ad.cols + ac0..r * ad.cols + ac0 + ak]);
+                v.extend_from_slice(&src[r * ad.cols + ac0..r * ad.cols + ac0 + k]);
             }
             v
         };
@@ -703,6 +677,80 @@ pub(crate) fn frag_decl(
             "fragment id {id} out of range ({} declared)",
             prog.frags.len()
         ),
+    })
+}
+
+/// The operands of one legal MMA `d += a[:, ac0..ac0 + k] · b[br0..br0 + k, :]`.
+pub(crate) struct MmaOperands<'p> {
+    pub(crate) a: &'p FragDecl,
+    pub(crate) b: &'p FragDecl,
+    pub(crate) d: &'p FragDecl,
+    pub(crate) ac0: usize,
+    pub(crate) br0: usize,
+    pub(crate) k: usize,
+    /// The device's tensor-core shape for the input precision.
+    pub(crate) shape: MmaShape,
+}
+
+/// The legality checks of an [`Op::Mma`], in the one order and with the
+/// one set of messages every executor reports them.
+pub(crate) fn check_mma<'p>(
+    device: &DeviceSpec,
+    prog: &'p WarpProgram,
+    d: usize,
+    a: usize,
+    b: usize,
+    a_cols: Option<(usize, usize)>,
+    b_rows: Option<(usize, usize)>,
+) -> Result<MmaOperands<'p>, SimError> {
+    let (ad, bd, dd) = (
+        frag_decl(prog, a)?,
+        frag_decl(prog, b)?,
+        frag_decl(prog, d)?,
+    );
+    if ad.precision != bd.precision {
+        return Err(SimError::ShapeMismatch {
+            detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
+        });
+    }
+    let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
+    let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
+    if ac0 + ak > ad.cols || br0 + bk > bd.rows {
+        return Err(SimError::BadOperand {
+            detail: format!(
+                "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
+                ac0 + ak,
+                ad.cols,
+                br0 + bk,
+                bd.rows
+            ),
+        });
+    }
+    if ak != bk {
+        return Err(SimError::ShapeMismatch {
+            detail: format!("k extents differ: {ak} vs {bk}"),
+        });
+    }
+    if dd.rows != ad.rows || dd.cols != bd.cols {
+        return Err(SimError::ShapeMismatch {
+            detail: format!(
+                "C is {}x{} but A·B is {}x{}",
+                dd.rows, dd.cols, ad.rows, bd.cols
+            ),
+        });
+    }
+    let shape = shape_for(device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
+        device: device.name.to_string(),
+        precision: ad.precision.label().to_string(),
+    })?;
+    Ok(MmaOperands {
+        a: ad,
+        b: bd,
+        d: dd,
+        ac0,
+        br0,
+        k: ak,
+        shape,
     })
 }
 

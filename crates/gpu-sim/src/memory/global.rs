@@ -197,10 +197,9 @@ impl GlobalMemory {
             b.data.cols()
         );
         let mut out = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                out.push(b.data.get(row0 + r, col0 + c));
-            }
+        let stride = b.data.cols();
+        for r in row0..row0 + rows {
+            out.extend_from_slice(&b.data.as_slice()[r * stride + col0..][..cols]);
         }
         self.bytes_read += (rows * cols * b.precision.size_bytes()) as u64;
         out
@@ -254,16 +253,16 @@ impl GlobalMemory {
             // Read-modify-write also reads.
             self.bytes_read += (rows * cols * prec.size_bytes()) as u64;
         }
+        let stride = b.data.cols();
+        let dst = b.data.as_mut_slice();
         for r in 0..rows {
-            for c in 0..cols {
-                let v = values[r * cols + c];
-                let cur = b.data.get(row0 + r, col0 + c);
-                let new = if accumulate {
-                    prec.round(cur + v)
+            let row = &mut dst[(row0 + r) * stride + col0..][..cols];
+            for (cur, &v) in row.iter_mut().zip(&values[r * cols..][..cols]) {
+                *cur = if accumulate {
+                    prec.round(*cur + v)
                 } else {
                     prec.round(v)
                 };
-                b.data.set(row0 + r, col0 + c, new);
             }
         }
     }

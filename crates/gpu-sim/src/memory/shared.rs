@@ -7,12 +7,15 @@
 //! invalidates the stale cells, so the clobbered element reads back as
 //! uninitialized instead of returning its old value.
 //!
+//! Storage is flat: two vectors indexed by byte address, one holding the
+//! size of the element that starts at each address (0 = no element
+//! starts there) and one its value. They grow only to the highest byte a
+//! store has touched, so a block that stages 32 KiB holds 32 Ki slots.
+//!
 //! The module also provides the bank-conflict analysis behind the paper's
 //! `θ_r` / `θ_w` factors: for a warp-wide access with a given element size
 //! and stride, it computes how many bank cycles the access takes relative
 //! to the conflict-free ideal.
-
-use std::collections::HashMap;
 
 /// Read or write, for conflict analysis and traffic split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +38,11 @@ enum Layout {
 #[derive(Clone)]
 pub struct SharedMemory {
     capacity: usize,
-    /// byte address -> (value, element size that wrote it)
-    cells: HashMap<usize, (f64, usize)>,
+    /// Per byte address: size of the element written there, 0 if no
+    /// element starts at that byte.
+    sizes: Vec<u8>,
+    /// Per byte address: the value of the element starting there.
+    values: Vec<f64>,
     layout: Layout,
     /// Largest element size ever stored — bounds the overlap scan window.
     max_elem: usize,
@@ -49,7 +55,8 @@ impl SharedMemory {
     pub fn new(capacity: usize) -> Self {
         SharedMemory {
             capacity,
-            cells: HashMap::new(),
+            sizes: Vec::new(),
+            values: Vec::new(),
             layout: Layout::Empty,
             max_elem: 0,
             bytes_read: 0,
@@ -76,6 +83,10 @@ impl SharedMemory {
     /// address, so without invalidation an 8-byte store at byte 0
     /// followed by a 4-byte store at byte 4 would leave the stale wide
     /// value readable at byte 0.
+    ///
+    /// # Panics
+    /// If `elem_size` is 0 or above 255 — no precision has such an
+    /// element.
     pub fn store(&mut self, addr: usize, elem_size: usize, values: &[f64]) -> Result<(), String> {
         self.store_cells(addr, elem_size, values.len(), Some(values))
     }
@@ -101,6 +112,10 @@ impl SharedMemory {
         count: usize,
         values: Option<&[f64]>,
     ) -> Result<(), String> {
+        assert!(
+            (1..=usize::from(u8::MAX)).contains(&elem_size),
+            "shared memory element size {elem_size} B out of range"
+        );
         let extent = addr + count * elem_size;
         if extent > self.capacity {
             return Err(format!(
@@ -108,10 +123,14 @@ impl SharedMemory {
                 self.capacity
             ));
         }
+        if extent > self.sizes.len() {
+            self.sizes.resize(extent, 0);
+            self.values.resize(extent, 0.0);
+        }
         // Partial overlaps can only exist once element sizes mix or an
         // address breaks the uniform alignment grid; skip the per-byte
         // scan on the fast path.
-        let aligned = elem_size > 0 && addr.is_multiple_of(elem_size);
+        let aligned = addr.is_multiple_of(elem_size);
         let uniform = aligned
             && match self.layout {
                 Layout::Empty => true,
@@ -123,20 +142,21 @@ impl SharedMemory {
                 let a = addr + i * elem_size;
                 let lo = a.saturating_sub(self.max_elem.saturating_sub(1));
                 for s in lo..a + elem_size {
-                    if s == a {
-                        continue; // exact-start cell is replaced below
-                    }
-                    if let Some(&(_, esz)) = self.cells.get(&s) {
-                        if s + esz > a {
-                            self.cells.remove(&s);
-                        }
+                    // The exact-start cell is replaced below.
+                    if s != a && s + usize::from(self.sizes[s]) > a {
+                        self.sizes[s] = 0;
                     }
                 }
             }
         }
-        for i in 0..count {
-            let v = values.map_or(0.0, |vs| vs[i]);
-            self.cells.insert(addr + i * elem_size, (v, elem_size));
+        let cells = addr..extent;
+        for s in self.sizes[cells.clone()].iter_mut().step_by(elem_size) {
+            *s = elem_size as u8;
+        }
+        let slots = self.values[cells].iter_mut().step_by(elem_size);
+        match values {
+            Some(vs) => slots.zip(vs).for_each(|(slot, &v)| *slot = v),
+            None => slots.for_each(|slot| *slot = 0.0),
         }
         self.layout = if uniform {
             Layout::Uniform(elem_size)
@@ -183,19 +203,19 @@ impl SharedMemory {
     ) -> Result<(), String> {
         for i in 0..count {
             let a = addr + i * elem_size;
-            match self.cells.get(&a) {
-                Some(&(v, sz)) if sz == elem_size => {
+            match self.sizes.get(a).map_or(0, |&sz| usize::from(sz)) {
+                0 => return Err(format!("read of uninitialized shared memory at byte {a}")),
+                sz if sz == elem_size => {
                     if let Some(o) = out.as_deref_mut() {
-                        o.push(v);
+                        o.push(self.values[a]);
                     }
                 }
-                Some(&(_, sz)) => {
+                sz => {
                     return Err(format!(
                         "shared memory element-size mismatch at byte {a}: \
                          written as {sz} B, read as {elem_size} B"
                     ))
                 }
-                None => return Err(format!("read of uninitialized shared memory at byte {a}")),
             }
         }
         self.bytes_read += (count * elem_size) as u64;
@@ -212,7 +232,8 @@ impl SharedMemory {
 
     /// Clear contents and counters (new kernel on the same block).
     pub fn reset(&mut self) {
-        self.cells.clear();
+        self.sizes.clear();
+        self.values.clear();
         self.layout = Layout::Empty;
         self.max_elem = 0;
         self.bytes_read = 0;
@@ -269,6 +290,207 @@ pub fn theta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The byte-address `HashMap` implementation the flat vectors
+    /// replaced, kept as the model for [`flat_storage_matches_hashmap_model`].
+    struct ModelSharedMemory {
+        capacity: usize,
+        cells: HashMap<usize, (f64, usize)>,
+        layout: Layout,
+        max_elem: usize,
+        bytes_read: u64,
+        bytes_written: u64,
+        peak_extent: usize,
+    }
+
+    impl ModelSharedMemory {
+        fn new(capacity: usize) -> Self {
+            ModelSharedMemory {
+                capacity,
+                cells: HashMap::new(),
+                layout: Layout::Empty,
+                max_elem: 0,
+                bytes_read: 0,
+                bytes_written: 0,
+                peak_extent: 0,
+            }
+        }
+
+        fn store_cells(
+            &mut self,
+            addr: usize,
+            elem_size: usize,
+            count: usize,
+            values: Option<&[f64]>,
+        ) -> Result<(), String> {
+            let extent = addr + count * elem_size;
+            if extent > self.capacity {
+                return Err(format!(
+                    "shared memory overflow: extent {extent} B > capacity {} B",
+                    self.capacity
+                ));
+            }
+            let aligned = elem_size > 0 && addr.is_multiple_of(elem_size);
+            let uniform = aligned
+                && match self.layout {
+                    Layout::Empty => true,
+                    Layout::Uniform(sz) => sz == elem_size,
+                    Layout::Mixed => false,
+                };
+            if !uniform {
+                for i in 0..count {
+                    let a = addr + i * elem_size;
+                    let lo = a.saturating_sub(self.max_elem.saturating_sub(1));
+                    for s in lo..a + elem_size {
+                        if s == a {
+                            continue;
+                        }
+                        if let Some(&(_, esz)) = self.cells.get(&s) {
+                            if s + esz > a {
+                                self.cells.remove(&s);
+                            }
+                        }
+                    }
+                }
+            }
+            for i in 0..count {
+                let v = values.map_or(0.0, |vs| vs[i]);
+                self.cells.insert(addr + i * elem_size, (v, elem_size));
+            }
+            self.layout = if uniform {
+                Layout::Uniform(elem_size)
+            } else {
+                Layout::Mixed
+            };
+            self.max_elem = self.max_elem.max(elem_size);
+            self.bytes_written += (count * elem_size) as u64;
+            self.peak_extent = self.peak_extent.max(extent);
+            Ok(())
+        }
+
+        fn load_cells(
+            &mut self,
+            addr: usize,
+            elem_size: usize,
+            count: usize,
+            mut out: Option<&mut Vec<f64>>,
+        ) -> Result<(), String> {
+            for i in 0..count {
+                let a = addr + i * elem_size;
+                match self.cells.get(&a) {
+                    Some(&(v, sz)) if sz == elem_size => {
+                        if let Some(o) = out.as_deref_mut() {
+                            o.push(v);
+                        }
+                    }
+                    Some(&(_, sz)) => {
+                        return Err(format!(
+                            "shared memory element-size mismatch at byte {a}: \
+                             written as {sz} B, read as {elem_size} B"
+                        ))
+                    }
+                    None => return Err(format!("read of uninitialized shared memory at byte {a}")),
+                }
+            }
+            self.bytes_read += (count * elem_size) as u64;
+            Ok(())
+        }
+    }
+
+    /// Random store / store_shape / load / load_shape / reset sequences
+    /// over element sizes {1, 2, 4, 8}, aligned and misaligned addresses,
+    /// partial overlaps and capacity overflows: values, error strings,
+    /// counters and `peak_extent` must equal the `HashMap` model's after
+    /// every operation.
+    #[test]
+    fn flat_storage_matches_hashmap_model() {
+        let mut state = 0x5EED_5EEDu64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        const CAPACITY: usize = 96;
+        for seq in 0..2_000 {
+            let mut flat = SharedMemory::new(CAPACITY);
+            let mut model = ModelSharedMemory::new(CAPACITY);
+            // Early sequences stay on one element size, so the uniform
+            // fast path runs long before the first mixed store.
+            let one_size = seq % 4 == 0;
+            for step in 0..48 {
+                let elem = if one_size {
+                    1usize << (seq / 4 % 4)
+                } else {
+                    1usize << next(4)
+                };
+                let addr = if next(3) == 0 {
+                    next(CAPACITY as u64) as usize
+                } else {
+                    next((CAPACITY / elem) as u64) as usize * elem
+                };
+                let count = next(6) as usize + usize::from(next(8) == 0) * 8;
+                let ctx =
+                    || format!("seq {seq} step {step}: elem {elem} addr {addr} count {count}");
+                match next(10) {
+                    0..=3 => {
+                        let values: Vec<f64> =
+                            (0..count).map(|_| next(1000) as f64 - 500.0).collect();
+                        assert_eq!(
+                            flat.store(addr, elem, &values),
+                            model.store_cells(addr, elem, count, Some(&values)),
+                            "{}",
+                            ctx()
+                        );
+                    }
+                    4 => assert_eq!(
+                        flat.store_shape(addr, elem, count),
+                        model.store_cells(addr, elem, count, None),
+                        "{}",
+                        ctx()
+                    ),
+                    5..=7 => {
+                        let mut want = Vec::new();
+                        let want = model
+                            .load_cells(addr, elem, count, Some(&mut want))
+                            .map(|()| want);
+                        assert_eq!(flat.load(addr, elem, count), want, "{}", ctx());
+                    }
+                    8 => assert_eq!(
+                        flat.load_shape(addr, elem, count),
+                        model.load_cells(addr, elem, count, None),
+                        "{}",
+                        ctx()
+                    ),
+                    _ => {
+                        if next(4) == 0 {
+                            flat.reset();
+                            model = ModelSharedMemory::new(CAPACITY);
+                        }
+                    }
+                }
+                assert_eq!(flat.bytes_read(), model.bytes_read, "{}", ctx());
+                assert_eq!(flat.bytes_written(), model.bytes_written, "{}", ctx());
+                assert_eq!(flat.peak_extent(), model.peak_extent, "{}", ctx());
+            }
+            // Every byte address reads back the same, at every size.
+            for addr in 0..CAPACITY {
+                for elem in [1, 2, 4, 8] {
+                    let mut want = Vec::new();
+                    let want = model
+                        .load_cells(addr, elem, 1, Some(&mut want))
+                        .map(|()| want);
+                    assert_eq!(
+                        flat.load(addr, elem, 1),
+                        want,
+                        "seq {seq}: final sweep at {addr}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn store_load_roundtrip() {

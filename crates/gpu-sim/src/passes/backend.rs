@@ -129,6 +129,30 @@ impl ExecOutcome {
             fallback_phases: phases,
         }
     }
+
+    /// A run of no phases on `backend` — what a result computed without
+    /// a kernel reports, and the starting point of [`ExecOutcome::merge`].
+    pub fn empty(backend: BackendKind) -> Self {
+        ExecOutcome {
+            backend,
+            phases: 0,
+            fast_phases: 0,
+            fallback_phases: 0,
+        }
+    }
+
+    /// The phase counts of two runs on the same backend, summed: how a
+    /// result assembled from several kernels (k-split chunks, batch
+    /// entries) reports its execution.
+    pub fn merge(self, other: ExecOutcome) -> Self {
+        debug_assert_eq!(self.backend, other.backend, "merged runs share a backend");
+        ExecOutcome {
+            backend: self.backend,
+            phases: self.phases + other.phases,
+            fast_phases: self.fast_phases + other.fast_phases,
+            fallback_phases: self.fallback_phases + other.fallback_phases,
+        }
+    }
 }
 
 /// One execution backend: the execute pass behind a fixed seam.

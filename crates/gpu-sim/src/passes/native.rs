@@ -2,18 +2,17 @@
 //! microkernels behind the [`ExecBackend`] seam.
 //!
 //! The reference interpreter's MMA pays, per accumulation step, two
-//! precision round-trips on the inputs (for fp16/bf16 that is a
-//! `f64 → half → f64` conversion each) plus per-op slice allocations.
+//! precision round-trips on the inputs plus per-op slice allocations.
 //! None of that changes the bits: fragment data is invariantly
 //! quantized at its declared precision (every write narrows — see
 //! [`FragValue::store`]), and every [`Precision::round`] is idempotent,
 //! so re-rounding already-quantized inputs is a no-op. The native
-//! backend exploits exactly that: its microkernels read inputs as-is
-//! and keep only the roundings that matter — one per accumulation step
-//! at the accumulator precision (`f64::mul_add` product, then
-//! `as f32 as f64` for FP32 accumulators, identity for FP64), and one
-//! per element at the fragment's storage precision after each MMA — the
-//! same places the simulator rounds.
+//! backend exploits exactly that: its microkernel reads inputs in place
+//! and keeps only the roundings that matter — one per accumulation step
+//! at the accumulator precision (`f64::mul_add`, then `as f32 as f64`
+//! for FP32 accumulators, identity for FP64), and one per element at
+//! the fragment's storage precision after each MMA — the same places
+//! the simulator rounds.
 //!
 //! Phase order is the reference step's: warps serially in warp order,
 //! ops in program order, so accumulation order is identical. The lean
@@ -22,21 +21,27 @@
 //! reference step itself, so races, faults, panics, and error ordering
 //! reproduce exactly.
 //!
-//! The inner loops are written to autovectorize: for each `(i, l)` the
-//! column sweep is a chain-free FMA over independent accumulators,
-//! unrolled by four. Unrolling reorders nothing — each `(i, j)` chain
-//! still sees its `l`-steps in increasing order.
+//! The microkernel is register-blocked: for each row of D it holds a
+//! strip of 16 (then 8, then 4) columns in locals across the whole k
+//! loop, with a scalar tail, so D is read and written once per MMA.
+//! Each `(i, j)` accumulator still sees its `l`-steps in increasing
+//! order, one rounded FMA per step. The one generic body is compiled
+//! twice: a portable build, and an `fma,avx2` build picked at run time
+//! by `is_x86_feature_detected!`. On a baseline x86-64 target every
+//! `mul_add` of the portable build is an out-of-line call to the
+//! runtime's `fma`; the FMA build turns it into one `vfmadd` and
+//! vectorizes the strips. Hardware FMA is correctly rounded, exactly
+//! like the call it replaces, so both builds produce the same bits.
 
 use super::backend::{BackendKind, ExecBackend, ExecOutcome};
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
-use crate::engine::{detect_races, frag_decl, require_init, BlockState, Engine};
+use crate::engine::{check_mma, detect_races, require_init, BlockState, Engine};
 use crate::error::SimError;
 use crate::fragment::FragValue;
 use crate::memory::global::GlobalMemory;
 use crate::precision::Precision;
 use crate::program::{Op, WarpProgram};
-use crate::tensor_core::shape_for;
 
 /// Host-speed execution backend, bit-identical to
 /// [`SimBackend`](super::exec::SimBackend) by construction.
@@ -156,10 +161,10 @@ fn run_phase_native(
     Ok(())
 }
 
-/// Native fragment MMA: the same legality checks as the reference
-/// interpreter's `exec_mma`, in the same order and with the same messages,
-/// then a strided zero-copy microkernel instead of slice extraction and
-/// per-step input re-rounding.
+/// Native fragment MMA: the reference interpreter's legality checks
+/// (shared code, so the same order and messages), then the
+/// register-blocked microkernel reading A and B in place instead of
+/// slice extraction and per-step input re-rounding.
 #[allow(clippy::too_many_arguments)]
 fn native_mma(
     engine: &Engine<'_>,
@@ -171,134 +176,126 @@ fn native_mma(
     b_rows: Option<(usize, usize)>,
     warp_frags: &mut [FragValue],
 ) -> Result<(), SimError> {
-    let (ad, bd, dd) = (
-        frag_decl(prog, a)?.clone(),
-        frag_decl(prog, b)?.clone(),
-        frag_decl(prog, d)?.clone(),
+    let ops = check_mma(engine.device, prog, d, a, b, a_cols, b_rows)?;
+    let dims = MmaDims {
+        m: ops.a.rows,
+        n: ops.b.cols,
+        k: ops.k,
+        lda: ops.a.cols,
+        ldb: ops.b.cols,
+    };
+    let round32 = ops.a.precision.accumulator() != Precision::Fp64;
+    accumulate(
+        microkernel,
+        round32,
+        dims,
+        warp_frags,
+        d,
+        (a, ops.ac0),
+        (b, ops.br0 * ops.b.cols),
+        ops.d.precision,
     );
-    if ad.precision != bd.precision {
-        return Err(SimError::ShapeMismatch {
-            detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
-        });
-    }
-    let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
-    let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
-    if ac0 + ak > ad.cols || br0 + bk > bd.rows {
-        return Err(SimError::BadOperand {
-            detail: format!(
-                "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
-                ac0 + ak,
-                ad.cols,
-                br0 + bk,
-                bd.rows
-            ),
-        });
-    }
-    if ak != bk {
-        return Err(SimError::ShapeMismatch {
-            detail: format!("k extents differ: {ak} vs {bk}"),
-        });
-    }
-    if dd.rows != ad.rows || dd.cols != bd.cols {
-        return Err(SimError::ShapeMismatch {
-            detail: format!(
-                "C is {}x{} but A·B is {}x{}",
-                dd.rows, dd.cols, ad.rows, bd.cols
-            ),
-        });
-    }
-    shape_for(engine.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
-        device: engine.device.name.to_string(),
-        precision: ad.precision.label().to_string(),
-    })?;
-
-    let (m, n, k) = (ad.rows, bd.cols, ak);
-    let acc = ad.precision.accumulator();
-    // All checks passed; take D out so A and B can be borrowed directly.
-    // Aliased operands (D doubling as A or B) would see an empty buffer,
-    // so they go through copied slices like the simulator.
-    if d == a || d == b {
-        let a_slice: Vec<f64> = {
-            let src = &warp_frags[a].data;
-            let mut v = Vec::with_capacity(m * k);
-            for r in 0..m {
-                v.extend_from_slice(&src[r * ad.cols + ac0..r * ad.cols + ac0 + ak]);
-            }
-            v
-        };
-        let b_slice: Vec<f64> = {
-            let src = &warp_frags[b].data;
-            let mut v = Vec::with_capacity(k * n);
-            for r in 0..k {
-                v.extend_from_slice(&src[(br0 + r) * bd.cols..(br0 + r) * bd.cols + n]);
-            }
-            v
-        };
-        microkernel(
-            acc,
-            m,
-            n,
-            k,
-            &a_slice,
-            k,
-            0,
-            &b_slice,
-            n,
-            0,
-            &mut warp_frags[d].data,
-        );
-    } else {
-        let mut d_data = std::mem::take(&mut warp_frags[d].data);
-        microkernel(
-            acc,
-            m,
-            n,
-            k,
-            &warp_frags[a].data,
-            ad.cols,
-            ac0,
-            &warp_frags[b].data,
-            bd.cols,
-            br0,
-            &mut d_data,
-        );
-        warp_frags[d].data = d_data;
-    }
-    // The accumulator fragment holds values at its own precision — the
-    // simulator's post-MMA narrowing, kept verbatim.
-    let dp = dd.precision;
-    if dp != Precision::Fp64 {
-        for x in warp_frags[d].data.iter_mut() {
-            *x = dp.round(*x);
-        }
-    }
     Ok(())
 }
 
-/// Dispatch on the accumulator precision. FP64 inputs accumulate at
-/// FP64 (the rounding is the identity); everything else accumulates at
-/// FP32 — one `as f32 as f64` per step, exactly
-/// [`fma_acc`](crate::precision::fma_acc) with the input re-rounding
-/// elided (inputs are invariantly pre-quantized).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel(
-    acc: Precision,
+/// The geometry of one MMA, `d[m×n] += a[m×k] · b[k×n]`: A and B are
+/// read through row strides `lda` and `ldb` from the first element of
+/// their k-windows, and D is dense row-major.
+#[derive(Debug, Clone, Copy)]
+struct MmaDims {
     m: usize,
     n: usize,
     k: usize,
-    a: &[f64],
-    a_stride: usize,
-    ac0: usize,
-    b: &[f64],
-    b_stride: usize,
-    br0: usize,
-    d: &mut [f64],
+    lda: usize,
+    ldb: usize,
+}
+
+/// A microkernel build: `d += a · b` at FP32 (`round32`) or FP64
+/// accumulation.
+type Microkernel = fn(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]);
+
+/// `frags[d] += frags[a][.., a_off..] · frags[b][b_off..]` through
+/// `kernel`, then narrow D to its storage precision `dp` — the
+/// simulator's post-MMA rounding, kept verbatim. An operand aliasing D
+/// is read from a snapshot taken before the MMA, as the reference's
+/// slice extraction reads it.
+#[allow(clippy::too_many_arguments)]
+fn accumulate(
+    kernel: Microkernel,
+    round32: bool,
+    dims: MmaDims,
+    frags: &mut [FragValue],
+    d: usize,
+    (a, a_off): (usize, usize),
+    (b, b_off): (usize, usize),
+    dp: Precision,
 ) {
-    debug_assert_eq!(d.len(), m * n);
-    match acc {
-        Precision::Fp64 => mma_rows::<false>(m, n, k, a, a_stride, ac0, b, b_stride, br0, d),
-        _ => mma_rows::<true>(m, n, k, a, a_stride, ac0, b, b_stride, br0, d),
+    let mut d_data = std::mem::take(&mut frags[d].data);
+    let snapshot = (d == a || d == b).then(|| d_data.clone());
+    let operand = |id: usize| match &snapshot {
+        Some(s) if id == d => s.as_slice(),
+        _ => frags[id].data.as_slice(),
+    };
+    kernel(
+        round32,
+        dims,
+        &operand(a)[a_off..],
+        &operand(b)[b_off..],
+        &mut d_data,
+    );
+    if dp != Precision::Fp64 {
+        for x in d_data.iter_mut() {
+            *x = dp.round(*x);
+        }
+    }
+    frags[d].data = d_data;
+}
+
+/// The host's fastest microkernel build: the FMA/AVX2 one when the CPU
+/// has those features, else the portable one. Both are the same code,
+/// so they produce the same bits.
+fn microkernel(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) {
+    if !mma_fma(round32, dims, a, b, d) {
+        mma_portable(round32, dims, a, b, d);
+    }
+}
+
+/// The microkernel for the build's baseline target. On baseline x86-64
+/// each `f64::mul_add` here is an out-of-line call into the runtime's
+/// correctly rounded `fma`.
+fn mma_portable(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) {
+    if round32 {
+        mma_rows::<true>(dims, a, b, d);
+    } else {
+        mma_rows::<false>(dims, a, b, d);
+    }
+}
+
+/// Run the FMA/AVX2 build of the microkernel if the host supports it.
+/// Returns `false`, leaving `d` untouched, when it does not.
+fn mma_fma(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `mma_rows_fma` requires only the `fma` and `avx2`
+        // target features, and the host was just checked to have both.
+        unsafe { mma_rows_fma(round32, dims, a, b, d) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (round32, dims, a, b, d);
+    false
+}
+
+/// [`mma_rows`] compiled with hardware FMA and AVX2: `mul_add` becomes
+/// one `vfmadd` (correctly rounded, like the call it replaces) and the
+/// strips vectorize.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma,avx2")]
+fn mma_rows_fma(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) {
+    if round32 {
+        mma_rows::<true>(dims, a, b, d);
+    } else {
+        mma_rows::<false>(dims, a, b, d);
     }
 }
 
@@ -312,53 +309,176 @@ fn fma_step<const ROUND32: bool>(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// `d[m×n] += a[:, ac0..ac0+k] · b[br0..br0+k, :]` with the `(i, l, j)`
-/// loop order: each `(i, j)` accumulator still sees its `l`-steps in
-/// increasing order (bit-identical to the simulator's `(i, j, l)`
-/// order), while the inner column sweep is independent FMAs the
-/// compiler can vectorize. Explicit 4-way unroll for the common
-/// power-of-two tile widths.
-#[allow(clippy::too_many_arguments)]
-fn mma_rows<const ROUND32: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    a_stride: usize,
-    ac0: usize,
-    b: &[f64],
-    b_stride: usize,
-    br0: usize,
-    d: &mut [f64],
-) {
+/// `d += a · b`, register-blocked: each row of D is swept in strips of
+/// 16, then 8, then 4 columns, and a scalar tail; a strip stays in
+/// locals across the whole k loop, so D is loaded and stored once per
+/// MMA rather than once per k-step. Each `(i, j)` accumulator still sees
+/// its `l`-steps in increasing order, one rounded FMA each — exactly the
+/// reference's `(i, j, l)` order, so the bits are the same.
+#[inline(always)]
+fn mma_rows<const ROUND32: bool>(dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) {
+    let MmaDims { m, n, k, lda, ldb } = dims;
     for i in 0..m {
-        let a_row = &a[i * a_stride + ac0..i * a_stride + ac0 + k];
-        let d_row = &mut d[i * n..(i + 1) * n];
-        for (l, &av) in a_row.iter().enumerate() {
-            let b_row = &b[(br0 + l) * b_stride..(br0 + l) * b_stride + n];
-            let mut j = 0;
-            while j + 4 <= n {
-                d_row[j] = fma_step::<ROUND32>(av, b_row[j], d_row[j]);
-                d_row[j + 1] = fma_step::<ROUND32>(av, b_row[j + 1], d_row[j + 1]);
-                d_row[j + 2] = fma_step::<ROUND32>(av, b_row[j + 2], d_row[j + 2]);
-                d_row[j + 3] = fma_step::<ROUND32>(av, b_row[j + 3], d_row[j + 3]);
-                j += 4;
-            }
-            while j < n {
-                d_row[j] = fma_step::<ROUND32>(av, b_row[j], d_row[j]);
-                j += 1;
-            }
+        let a_row = &a[i * lda..][..k];
+        let d_row = &mut d[i * n..][..n];
+        let mut j = 0;
+        while j + 16 <= n {
+            strip::<16, ROUND32>(a_row, b, ldb, j, d_row);
+            j += 16;
+        }
+        if j + 8 <= n {
+            strip::<8, ROUND32>(a_row, b, ldb, j, d_row);
+            j += 8;
+        }
+        if j + 4 <= n {
+            strip::<4, ROUND32>(a_row, b, ldb, j, d_row);
+            j += 4;
+        }
+        while j < n {
+            strip::<1, ROUND32>(a_row, b, ldb, j, d_row);
+            j += 1;
         }
     }
+}
+
+/// Columns `j0..j0 + W` of one D row, accumulated over all of `a_row`.
+#[inline(always)]
+fn strip<const W: usize, const ROUND32: bool>(
+    a_row: &[f64],
+    b: &[f64],
+    ldb: usize,
+    j0: usize,
+    d_row: &mut [f64],
+) {
+    let d_strip: &mut [f64; W] = (&mut d_row[j0..j0 + W])
+        .try_into()
+        .expect("strip is W columns wide");
+    let mut acc = *d_strip;
+    for (l, &av) in a_row.iter().enumerate() {
+        let b_strip: &[f64; W] = b[l * ldb + j0..][..W]
+            .try_into()
+            .expect("strip is W columns wide");
+        for (c, &bv) in acc.iter_mut().zip(b_strip) {
+            *c = fma_step::<ROUND32>(av, bv, *c);
+        }
+    }
+    *d_strip = acc;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::gh200;
+    use crate::fragment::FragDecl;
     use crate::matrix::Matrix;
     use crate::memory::global::BufferId;
+    use crate::precision::fma_acc;
     use crate::program::BlockKernel;
+    use proptest::prelude::*;
+
+    const PRECISIONS: [Precision; 6] = [
+        Precision::Fp64,
+        Precision::Fp32,
+        Precision::Tf32,
+        Precision::Fp16,
+        Precision::Bf16,
+        Precision::Fp8E4M3,
+    ];
+
+    /// Row-major `rows × cols` fragment of seeded values quantized at
+    /// `p`, as every fragment write leaves them.
+    fn frag(rows: usize, cols: usize, p: Precision, seed: u64) -> FragValue {
+        let mut f = FragValue::new(FragDecl::new("x", rows, cols, p));
+        f.store(Matrix::seeded_uniform(rows, cols, seed).as_slice());
+        f
+    }
+
+    /// The FMA build, for hosts that have it.
+    fn fma_kernel(round32: bool, dims: MmaDims, a: &[f64], b: &[f64], d: &mut [f64]) {
+        assert!(mma_fma(round32, dims, a, b, d), "host lacks fma/avx2");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Both microkernel builds against the plain `fma_acc` loop in
+        /// the reference's `(i, j, l)` order: every shape up to 70 in
+        /// each dimension (so every strip width and ragged tail runs),
+        /// k-slices at offsets into wider A and taller B, and D aliasing
+        /// A (`alias` 1) or B (`alias` 2), at every precision.
+        #[test]
+        fn microkernels_match_fma_acc_loop(
+            m in 1usize..=70,
+            n in 1usize..=70,
+            k in 1usize..=70,
+            slack in 0usize..4,
+            alias in 0usize..3,
+            prec_idx in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let p = PRECISIONS[prec_idx];
+            let acc = p.accumulator();
+            // Fragment ids: 0 = D, 1 = A, 2 = B; an aliased operand is D.
+            let (a_rows, a_cols, b_rows, b_cols) = match alias {
+                1 => (m, n, k + slack, n),
+                2 => (m, k + slack, m, n),
+                _ => (m, k + slack, k + slack, n),
+            };
+            let k = match alias {
+                1 => k.min(n),
+                2 => k.min(m),
+                _ => k,
+            };
+            let ac0 = seed as usize % (a_cols - k + 1);
+            let br0 = (seed / 7) as usize % (b_rows - k + 1);
+            let frags = vec![
+                frag(m, n, p, seed),
+                frag(a_rows, a_cols, p, seed + 1),
+                frag(b_rows, b_cols, p, seed + 2),
+            ];
+            let (a, b) = match alias {
+                1 => (0, 2),
+                2 => (1, 0),
+                _ => (1, 2),
+            };
+            let (a_data, b_data) = (frags[a].data.clone(), frags[b].data.clone());
+            let mut want = frags[0].data.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut c = want[i * n + j];
+                    for l in 0..k {
+                        let av = a_data[i * a_cols + ac0 + l];
+                        let bv = b_data[(br0 + l) * b_cols + j];
+                        c = fma_acc(acc, av, bv, c);
+                    }
+                    want[i * n + j] = p.round(c);
+                }
+            }
+            let dims = MmaDims { m, n, k, lda: a_cols, ldb: b_cols };
+            let mut kernels: Vec<(&str, Microkernel)> = vec![("portable", mma_portable)];
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("fma")
+                && std::arch::is_x86_feature_detected!("avx2")
+            {
+                kernels.push(("fma", fma_kernel));
+            }
+            for (name, kernel) in kernels {
+                let mut got = frags.clone();
+                accumulate(
+                    kernel,
+                    acc != Precision::Fp64,
+                    dims,
+                    &mut got,
+                    0,
+                    (a, ac0),
+                    (b, br0 * b_cols),
+                    p,
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got[0].data), bits(&want), "{} build diverges", name);
+            }
+        }
+    }
 
     /// Every `Precision::round` must be idempotent: the microkernels
     /// skip input re-rounding on that invariant.
@@ -514,6 +634,23 @@ mod tests {
         });
         sim.unwrap();
         nat.unwrap();
+        // D doubling as A: the product must read A as it was before the
+        // MMA, like the reference's slice extraction.
+        let aliased = BlockKernel::spmd(1, |_, w| {
+            let fa = w.frag("A", 8, 8, Precision::Fp32);
+            let fb = w.frag("B", 8, 8, Precision::Fp32);
+            w.global_load(fa, BufferId(0), 0, 0);
+            w.global_load(fb, BufferId(1), 0, 0);
+            w.mma(fa, fa, fb);
+            w.global_store(fa, BufferId(2), 0, 0);
+        });
+        let [sim, nat] = assert_matches_reference(&aliased, |g| {
+            g.upload("A", &Matrix::seeded_uniform(8, 8, 11), Precision::Fp32);
+            g.upload("B", &Matrix::seeded_uniform(8, 8, 12), Precision::Fp32);
+            g.alloc_zeroed("C", 8, 8, Precision::Fp32);
+        });
+        sim.unwrap();
+        assert_eq!(nat.unwrap().fast_phases, 1);
         // Warp 0 stores then reloads the same C window inside one phase.
         let rmw = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 2, 2, Precision::Fp64);

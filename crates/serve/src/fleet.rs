@@ -277,6 +277,17 @@ impl FleetMetrics {
         self.replicas.iter().map(|r| r.metrics.failed).sum()
     }
 
+    /// Kernel phases executed across the fleet, as `(fast, fallback)`:
+    /// see [`Metrics::exec_fast_phases`].
+    pub fn exec_phases(&self) -> (u64, u64) {
+        self.replicas.iter().fold((0, 0), |(f, b), r| {
+            (
+                f + r.metrics.exec_fast_phases,
+                b + r.metrics.exec_fallback_phases,
+            )
+        })
+    }
+
     /// The fleet-level makespan: the furthest-ahead replica clock in
     /// simulated seconds. Aggregate throughput = work ÷ this.
     pub fn makespan_secs(&self) -> f64 {
@@ -309,6 +320,24 @@ impl FleetMetrics {
                 "kami_fleet_completed_total{{device=\"{}\",replica=\"{}\"}} {}",
                 r.device, r.replica, r.metrics.completed
             );
+        }
+        series(
+            &mut out,
+            "exec_phases_total",
+            "Kernel phases executed, by backend path",
+            "counter",
+        );
+        for r in &self.replicas {
+            for (path, v) in [
+                ("fast", r.metrics.exec_fast_phases),
+                ("fallback", r.metrics.exec_fallback_phases),
+            ] {
+                let _ = writeln!(
+                    out,
+                    "kami_fleet_exec_phases_total{{device=\"{}\",replica=\"{}\",path=\"{path}\"}} {v}",
+                    r.device, r.replica
+                );
+            }
         }
         series(
             &mut out,

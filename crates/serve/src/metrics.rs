@@ -158,6 +158,12 @@ pub struct Metrics {
     pub degraded_serial: u64,
     /// Ticks that dispatched at least one request.
     pub ticks: u64,
+    /// Kernel phases the executing backend ran on its fast path (the
+    /// native lean loop), summed over every request's numerics.
+    pub exec_fast_phases: u64,
+    /// Kernel phases that ran through the reference step instead: every
+    /// phase on `Sim`, the phases `Native` could not clear as race-free.
+    pub exec_fallback_phases: u64,
     /// Sum over completions of eligible-but-waiting cycles.
     pub queue_cycles_sum: f64,
     /// Sum over completions of group-start→done cycles.
@@ -270,6 +276,17 @@ impl Metrics {
             "Submissions that landed on a sibling shard",
             self.admission_failovers as f64,
         );
+        let _ = writeln!(
+            out,
+            "# HELP kami_serve_exec_phases_total Kernel phases executed, by backend path"
+        );
+        let _ = writeln!(out, "# TYPE kami_serve_exec_phases_total counter");
+        for (path, v) in [
+            ("fast", self.exec_fast_phases),
+            ("fallback", self.exec_fallback_phases),
+        ] {
+            let _ = writeln!(out, "kami_serve_exec_phases_total{{path=\"{path}\"}} {v}");
+        }
         let mut gauge = |name: &str, help: &str, v: f64| {
             let _ = writeln!(out, "# HELP kami_serve_{name} {help}");
             let _ = writeln!(out, "# TYPE kami_serve_{name} gauge");

@@ -11,7 +11,7 @@
 
 use crate::error::ServeError;
 use kami_core::{GemmRequest, GemmResponse, KamiConfig, Op};
-use kami_gpu_sim::{DeviceSpec, Matrix, Precision};
+use kami_gpu_sim::{BackendKind, DeviceSpec, ExecOutcome, Matrix, Precision};
 use kami_sparse::spgemm::SpgemmResult;
 use kami_sparse::spmm::SpmmResult;
 use kami_sparse::BlockSparseMatrix;
@@ -170,13 +170,40 @@ impl ServeRequest {
     /// Execute the workload's numerics directly on `device` — the exact
     /// engine calls a non-served caller would make.
     pub fn execute(&self, device: &DeviceSpec) -> Result<ServeOutput, ServeError> {
+        self.execute_with_backend(device, None)
+    }
+
+    /// [`ServeRequest::execute`] on `backend`: sparse workloads always,
+    /// dense ones unless their [`GemmRequest::backend`] override says
+    /// otherwise. Backends are bit-identical, so the payload equals the
+    /// direct call's.
+    pub fn execute_on(
+        &self,
+        device: &DeviceSpec,
+        backend: BackendKind,
+    ) -> Result<ServeOutput, ServeError> {
+        self.execute_with_backend(device, Some(backend))
+    }
+
+    fn execute_with_backend(
+        &self,
+        device: &DeviceSpec,
+        backend: Option<BackendKind>,
+    ) -> Result<ServeOutput, ServeError> {
+        let sparse_cfg = |cfg: &KamiConfig| KamiConfig {
+            backend: backend.unwrap_or(cfg.backend),
+            ..cfg.clone()
+        };
         match &self.workload {
-            Workload::Dense(r) => Ok(ServeOutput::Dense(r.execute(device)?)),
+            Workload::Dense(r) => Ok(ServeOutput::Dense(match backend {
+                Some(bk) => r.execute_on(device, bk)?,
+                None => r.execute(device)?,
+            })),
             Workload::Spmm { a, b, cfg } => Ok(ServeOutput::Spmm(
-                kami_sparse::spmm(device, cfg, a, b).map_err(ServeError::Core)?,
+                kami_sparse::spmm(device, &sparse_cfg(cfg), a, b).map_err(ServeError::Core)?,
             )),
             Workload::Spgemm { a, b, cfg } => Ok(ServeOutput::Spgemm(
-                kami_sparse::spgemm(device, cfg, a, b).map_err(ServeError::Core)?,
+                kami_sparse::spgemm(device, &sparse_cfg(cfg), a, b).map_err(ServeError::Core)?,
             )),
         }
     }
@@ -214,6 +241,15 @@ impl ServeOutput {
             ServeOutput::Dense(r) => r.useful_flops(),
             ServeOutput::Spmm(r) => r.useful_flops,
             ServeOutput::Spgemm(r) => r.useful_flops,
+        }
+    }
+
+    /// Which backend executed the numerics and how its phases split.
+    pub fn exec(&self) -> ExecOutcome {
+        match self {
+            ServeOutput::Dense(r) => r.exec(),
+            ServeOutput::Spmm(r) => r.exec,
+            ServeOutput::Spgemm(r) => r.exec,
         }
     }
 

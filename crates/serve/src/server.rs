@@ -102,12 +102,13 @@ pub struct ServerConfig {
     /// order. Scheduling, costs, and the clock still use the server's
     /// own device. `None` (the default) = numerics on the same device.
     pub numeric_device: Option<DeviceSpec>,
-    /// Execution backend for the warm fast path (cached cost pass +
-    /// execute-only run). Backends are bit-identical, so this is a
-    /// throughput knob, not a numerics one; [`BackendKind::Native`]
-    /// runs host-speed SIMD microkernels end-to-end on warm requests.
-    /// Requests leaving the fast path honor their own
-    /// `GemmRequest::backend` override instead.
+    /// Execution backend for every request's numerics: the warm fast
+    /// path (cached cost pass + execute-only run), the direct-path dense
+    /// riders (fused epilogues, tall-skinny, padded, batched, ...) and
+    /// sparse SpMM/SpGEMM. A dense request's own `GemmRequest::backend`
+    /// override wins over it. Backends are bit-identical, so this is a
+    /// throughput knob, not a numerics one; [`BackendKind::Native`] runs
+    /// host-speed microkernels.
     pub backend: BackendKind,
     /// Plan-cache budget/admission/feedback knobs for the cache this
     /// server constructs (ignored by [`Server::with_shared_plans`],
@@ -681,9 +682,15 @@ impl Server {
             };
         let mut errors: HashMap<usize, ServeError> = HashMap::new();
         let mut group = group;
+        let (mut fast_phases, mut fallback_phases) = (0u64, 0u64);
         for (&i, out) in need.iter().zip(computed) {
             match out {
-                Ok(o) => group[i].cached = Some(o),
+                Ok(o) => {
+                    let exec = o.exec();
+                    fast_phases += exec.fast_phases as u64;
+                    fallback_phases += exec.fallback_phases as u64;
+                    group[i].cached = Some(o);
+                }
                 Err(e) => {
                     errors.insert(i, e);
                 }
@@ -700,8 +707,11 @@ impl Server {
                 live.push(p);
             }
         }
-        if newly_failed > 0 {
-            self.locked().metrics.failed += newly_failed;
+        if newly_failed > 0 || fast_phases + fallback_phases > 0 {
+            let mut st = self.locked();
+            st.metrics.failed += newly_failed;
+            st.metrics.exec_fast_phases += fast_phases;
+            st.metrics.exec_fallback_phases += fallback_phases;
         }
         if live.is_empty() {
             for (ticket, outcome) in resolutions {
@@ -825,14 +835,14 @@ impl Server {
         }
     }
 
-    /// Run one member's numerics. Plain strict/auto dense GEMMs take
-    /// the split-engine fast path: the cost pass comes from the shared
-    /// [`PlanCache`] (charged once per shape class, then served from
-    /// cache) and only the execute pass runs per request. Everything
-    /// else — scaled epilogues, padded/2.5D/batched/low-rank ops,
-    /// sparse workloads — goes through the direct engine entry points.
-    /// Both paths are bit-identical, so serving stays numerically
-    /// transparent either way.
+    /// Run one member's numerics on the configured backend. Plain
+    /// strict/auto dense GEMMs take the split-engine fast path: the cost
+    /// pass comes from the shared [`PlanCache`] (charged once per shape
+    /// class, then served from cache) and only the execute pass runs per
+    /// request. Everything else — scaled epilogues, padded/2.5D/batched/
+    /// low-rank ops, sparse workloads — goes through the direct engine
+    /// entry points. Both paths are bit-identical, so serving stays
+    /// numerically transparent either way.
     fn execute_request(&self, request: &ServeRequest) -> Result<ServeOutput, ServeError> {
         // Numerics device: the fleet pins this to one class so results
         // are bit-identical wherever the request lands; solo servers
@@ -857,14 +867,14 @@ impl Server {
                     self.plans
                         .gemm_plan_for(ndev, &cfg, a.rows(), b.cols(), a.cols(), auto)?;
                 // Cached plans are backend-independent; execute on the
-                // server's configured backend regardless of which
+                // request's backend override, else the server's, whatever
                 // configuration first populated the cache.
-                let res =
-                    kami_core::gemm_execute_plan_with(ndev, &plan, a, b, self.config.backend)?;
+                let backend = r.backend.unwrap_or(self.config.backend);
+                let res = kami_core::gemm_execute_plan_with(ndev, &plan, a, b, backend)?;
                 return Ok(ServeOutput::Dense(kami_core::GemmResponse::Single(res)));
             }
         }
-        request.execute(ndev)
+        request.execute_on(ndev, self.config.backend)
     }
 
     /// Model one group's device-level execution: makespan, utilization,

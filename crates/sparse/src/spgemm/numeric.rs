@@ -13,8 +13,8 @@ use kami_core::config::{Algo, KamiConfig};
 use kami_core::error::KamiError;
 use kami_core::layout::{cube_pos, grid_pos, tile_bytes, SmemMap};
 use kami_gpu_sim::{
-    BlockKernel, BufferId, DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision,
-    WarpProgram,
+    BlockKernel, BufferId, DeviceSpec, Engine, ExecOutcome, ExecutionReport, GlobalMemory, Matrix,
+    Precision, WarpProgram,
 };
 use std::collections::HashMap;
 
@@ -28,6 +28,8 @@ pub struct SpgemmResult {
     pub nnz_blocks: usize,
     /// Useful flops (`2·bs³` per block pair).
     pub useful_flops: u64,
+    /// Which backend executed the numeric kernel and how its phases split.
+    pub exec: ExecOutcome,
 }
 
 impl SpgemmResult {
@@ -118,13 +120,11 @@ pub fn spgemm(
         Algo::TwoD => build_2d(cfg, q, a, b, &sym, ab, bb, cb),
         Algo::ThreeD => build_3d(cfg, q, a, b, &sym, ab, bb, cb),
     };
-    let report = Engine::with_cost(device, cfg.cost.clone())
-        .run_kernel(
-            &kernel,
-            &mut gmem,
-            &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
-        )?
-        .report;
+    let run = Engine::with_cost(device, cfg.cost.clone()).run_kernel(
+        &kernel,
+        &mut gmem,
+        &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
+    )?;
 
     // Assemble sparse C from the dense buffer along the symbolic pattern.
     let c_dense = gmem.download(cb);
@@ -137,9 +137,10 @@ pub fn spgemm(
     let c = BlockSparseMatrix::from_blocks(m, n, bs, a.order(), entries);
     Ok(SpgemmResult {
         c,
-        report,
+        report: run.report,
         nnz_blocks: sym.nnz_blocks(),
         useful_flops: sym.useful_flops(bs),
+        exec: run.exec,
     })
 }
 

@@ -14,7 +14,8 @@ use kami_core::config::{Algo, KamiConfig};
 use kami_core::error::KamiError;
 use kami_core::layout::{cube_pos, grid_pos, tile_bytes, SmemMap};
 use kami_gpu_sim::{
-    BlockKernel, DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, WarpProgram,
+    BlockKernel, DeviceSpec, Engine, ExecOutcome, ExecutionReport, GlobalMemory, Matrix, Precision,
+    WarpProgram,
 };
 use rayon::prelude::*;
 
@@ -26,6 +27,8 @@ pub struct SpmmResult {
     pub report: ExecutionReport,
     /// Useful flops: `2·bs²·n_cols_of_B` per nonzero block of A.
     pub useful_flops: u64,
+    /// Which backend executed the kernel and how its phases split.
+    pub exec: ExecOutcome,
 }
 
 impl SpmmResult {
@@ -135,18 +138,17 @@ pub fn spmm(
         Algo::TwoD => build_2d(cfg, q, a, ab, bb, cb, bs, m, n, k, c_prec),
         Algo::ThreeD => build_3d(cfg, q, a, ab, bb, cb, bs, m, n, k, c_prec),
     };
-    let report = Engine::with_cost(device, cfg.cost.clone())
-        .run_kernel(
-            &kernel,
-            &mut gmem,
-            &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
-        )?
-        .report;
+    let run = Engine::with_cost(device, cfg.cost.clone()).run_kernel(
+        &kernel,
+        &mut gmem,
+        &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
+    )?;
     let useful_flops = 2 * (bs * bs * n) as u64 * a.nnz_blocks() as u64;
     Ok(SpmmResult {
         c: gmem.download(cb),
-        report,
+        report: run.report,
         useful_flops,
+        exec: run.exec,
     })
 }
 

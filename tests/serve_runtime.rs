@@ -691,3 +691,92 @@ fn empty_sparse_products_serve_as_zero_work() {
     let direct = spmm(&dev, &cfg, &empty, &dense_b).unwrap();
     assert_eq!(served.c.as_slice(), direct.c.as_slice());
 }
+
+/// The bits of a served payload's product.
+fn payload_bits(out: &ServeOutput) -> Vec<u64> {
+    let c = match out {
+        ServeOutput::Dense(r) => r.clone().into_single().unwrap().c,
+        ServeOutput::Spmm(r) => r.c.clone(),
+        ServeOutput::Spgemm(r) => r.c.to_dense(),
+    };
+    c.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A Native server runs its direct-path riders — a fused epilogue, the
+/// tall-skinny k-split, SpMM and SpGEMM — on Native as well, with
+/// payloads bit-identical to the direct call on Sim; a request's own
+/// backend override still wins, and the phases land in the metrics.
+#[test]
+fn native_server_runs_riders_on_native_bit_identically() {
+    use kami::core::Epilogue;
+    use kami::sparse::gen::paper_sparse_workload;
+    let dev = device::gh200();
+    let server = Server::with_config(
+        &dev,
+        ServerConfig {
+            backend: BackendKind::Native,
+            ..ServerConfig::default()
+        },
+    );
+    let m = |rows, cols, seed| Matrix::seeded_uniform(rows, cols, seed);
+    let sparse = |seed| paper_sparse_workload(64, 16, BlockOrder::ZMorton, seed);
+    let cfg = KamiConfig::new(Algo::TwoD, Precision::Fp16);
+    let fused = || {
+        GemmRequest::gemm_auto(m(64, 64, 1), m(64, 64, 2))
+            .precision(Precision::Fp16)
+            .algo(Algo::OneD)
+            .with_epilogue(Epilogue::Gelu)
+    };
+    let riders = [
+        (ServeRequest::dense(fused()), BackendKind::Native),
+        (
+            ServeRequest::dense(
+                GemmRequest::gemm_auto(m(16, 4096, 3), m(4096, 16, 4))
+                    .precision(Precision::Fp16)
+                    .algo(Algo::OneD),
+            ),
+            BackendKind::Native,
+        ),
+        (
+            ServeRequest::spmm(sparse(5), m(64, 32, 6), cfg.clone()),
+            BackendKind::Native,
+        ),
+        (
+            ServeRequest::spgemm(sparse(7), sparse(8), cfg),
+            BackendKind::Native,
+        ),
+        (
+            ServeRequest::dense(fused().backend(BackendKind::Sim)),
+            BackendKind::Sim,
+        ),
+    ]
+    .map(|(r, backend)| (Arc::new(r), backend));
+    let tickets: Vec<_> = riders
+        .iter()
+        .map(|(r, _)| server.submit_shared(Arc::clone(r)).unwrap())
+        .collect();
+    server.shutdown_and_drain();
+
+    let (mut fast, mut fallback) = (0u64, 0u64);
+    for ((req, backend), ticket) in riders.iter().zip(tickets) {
+        let label = req.workload.label();
+        let served = ticket.wait().unwrap().output;
+        let direct = req.execute(&dev).unwrap();
+        assert_eq!(direct.exec().backend, BackendKind::Sim, "{label}");
+        assert_eq!(served.exec().backend, *backend, "{label}");
+        assert_eq!(payload_bits(&served), payload_bits(&direct), "{label}");
+        fast += served.exec().fast_phases as u64;
+        fallback += served.exec().fallback_phases as u64;
+    }
+    let metrics = server.metrics();
+    assert!(fast > 0);
+    assert_eq!(metrics.exec_fast_phases, fast);
+    assert_eq!(metrics.exec_fallback_phases, fallback);
+    let prom = server.to_prometheus();
+    assert!(prom.contains(&format!(
+        "kami_serve_exec_phases_total{{path=\"fast\"}} {fast}"
+    )));
+    assert!(prom.contains(&format!(
+        "kami_serve_exec_phases_total{{path=\"fallback\"}} {fallback}"
+    )));
+}
